@@ -153,26 +153,27 @@ def offline_pgd(trace: ArrivalTrace, cost: CostModel, iterations: int) -> np.nda
 
     Every slot starts from the previous slot's top-M indicator, then all
     slots step together for the given number of iterations, each sweep
-    using only the previous sweep's values.  Returns the (T, N) matrix of
-    final probability vectors.
+    using only the previous sweep's values and projecting all T rows in one
+    batched call.  Returns the (T, N) matrix of final probability vectors.
     """
     T, N = trace.T, trace.N
     theta = indicator_path(trace, cost.M).astype(float)
     Q = np.zeros((T + 1, N))
     Q[2:] = theta[:-1]  # slot t starts at the slot t-1 indicator; slot 1 at zero
+    P = Q[1:]           # rows: slots 1..T, updated in place
+    ramp_coef = 6.0 * cost.beta / cost.gamma
+    cap = 3.0 * cost.beta
+    pressure = cost.alpha * trace.lam
+    diff = np.empty((T, N))
+    step = np.empty((T, N))
     for _ in range(iterations):
-        diff_back = Q[1:] - Q[:-1]                      # rows: slots 1..T
-        gb = _g_matrix(diff_back, cost)
-        grad = gb - cost.alpha * trace.lam
-        grad[:-1] -= _g_matrix(Q[2:] - Q[1:-1], cost)   # forward term, absent at T
-        nxt = np.empty_like(Q)
-        nxt[0] = 0.0
-        for t in range(1, T + 1):
-            nxt[t] = project_bounded_simplex(Q[t] - cost.eta * grad[t - 1], cost.M)
-        Q = nxt
-    return Q[1:]
-
-
-def _g_matrix(d: np.ndarray, cost: CostModel) -> np.ndarray:
-    ramp = 6.0 * cost.beta / cost.gamma * d
-    return np.where(d < 0, 0.0, np.where(d <= cost.gamma, ramp, 3.0 * cost.beta))
+        np.subtract(P, Q[:-1], out=diff)
+        # slot t's switching derivative; slot t's forward term is the same
+        # quantity at slot t + 1, absent at T
+        g = _g_fast(diff, ramp_coef, cap, cost.gamma)
+        np.subtract(g, pressure, out=step)
+        step[:-1] -= g[1:]
+        step *= cost.eta
+        np.subtract(P, step, out=step)
+        P[...] = project_bounded_simplex(step, cost.M)
+    return P

@@ -54,6 +54,10 @@ class CostModel:
         beta = np.asarray(self.beta, dtype=float)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        for name, value in (("alpha", self.alpha), ("beta", beta),
+                            ("gamma", self.gamma), ("eta", self.eta)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if beta.ndim != 1 or beta.size == 0 or np.any(beta <= 0):
@@ -102,6 +106,8 @@ class ArrivalTrace:
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim != 2 or lam.shape[0] < 1 or lam.shape[1] < 1:
             raise DimensionError(f"trace must be a T x N matrix, got {lam.shape}")
+        if not np.isfinite(lam).all():
+            raise ValueError("lam must hold finite arrival counts")
         if np.any(lam < 0):
             raise ValueError("arrival counts must be nonnegative")
         if self.U is not None and np.any(lam.sum(axis=1) > self.U + FEAS_TOL):

@@ -1,13 +1,23 @@
 """Exact Euclidean projections onto the simplex and the bounded simplex.
 
 ``project_bounded_simplex`` maps any z in R^N onto
-``D = {p in [0,1]^N : sum(p) <= M}`` in O(N log N): clamp if the clamp is
-feasible, otherwise sort once and binary-search the count of coordinates
-pinned at 1, solving a plain simplex projection for the tail at each probe.
+``D = {p in [0,1]^N : sum(p) <= M}`` in O(N log N); given a (B, N) array it
+projects each row.  Both forms clamp if the clamp is feasible.  Otherwise the
+answer is clip(z - tau, 0, 1) for the unique tau > 0 at which the clipped sum
+equals M, and tau is found on the sorted row, shifted to its maximum so that
+huge magnitudes cannot overflow the prefix sums:
+
+* a single vector binary-searches the count of coordinates pinned at 1,
+  solving a plain simplex projection for the tail at each probe;
+* a batch walks each row's merged breakpoints z and z - 1 in one vectorized
+  pass to the segment where the clipped sum crosses M, and solves that
+  segment's linear equation for tau.
+
+Non-finite input raises ``ValueError``.
 
 ``project_bounded_simplex_oracle`` solves the same problem by exhaustively
 enumerating sorted active-set partitions of the KKT system.  It is
-deliberately independent of the fast path and exists only to validate it.
+deliberately independent of the fast paths and exists only to validate them.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from .model import DimensionError
 
-ONE_TOL = 1e-12  # slack when testing a tail coordinate against the cap of 1
+ONE_TOL = 1e-12  # a projected coordinate this close below 1 is snapped to 1
 
 
 def project_simplex(a, c: float) -> np.ndarray:
@@ -70,12 +80,23 @@ def _tail_threshold(css: np.ndarray, zs: np.ndarray, i: int, M: int) -> float:
 
 
 def project_bounded_simplex(z, M: int) -> np.ndarray:
-    """Exact projection of z onto {p in [0,1]^N : sum(p) <= M}."""
+    """Exact projection of z onto {p in [0,1]^N : sum(p) <= M}.
+
+    A (B, N) array projects each of its rows onto the same set.  Raises
+    ``DimensionError`` for other shapes and ``ValueError`` for an M outside
+    [1, N] or for non-finite entries.
+    """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise DimensionError("project_bounded_simplex needs a nonempty vector")
-    if not (1 <= M <= z.size):
-        raise ValueError(f"M={M} outside [1, N={z.size}]")
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise DimensionError(
+            "project_bounded_simplex needs a nonempty vector or (B, N) array")
+    N = z.shape[-1]
+    if not (1 <= M <= N):
+        raise ValueError(f"M={M} outside [1, N={N}]")
+    if not np.isfinite(z).all():
+        raise ValueError("project_bounded_simplex needs finite input")
+    if z.ndim == 2:
+        return _project_rows(z, M)
 
     zp = np.maximum(z, 0.0)
     clamped = np.minimum(zp, 1.0)
@@ -84,11 +105,14 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
 
     # Capacity is active: binary-search, over a descending sorted copy, the
     # count of coordinates pinned at 1; each probe solves the tail's plain
-    # simplex projection for its threshold.  The rejected clamp buffer is
-    # recycled to keep the hot path allocation-light.
+    # simplex projection for its threshold.  Coordinates are taken relative
+    # to the maximum m (tau below is tau - m), which keeps the prefix sums
+    # finite.  The rejected clamp buffer is recycled to keep the hot path
+    # allocation-light.
     zs = np.negative(zp, out=clamped)
     zs.sort()
-    np.negative(zs, out=zs)
+    m = -zs[0]
+    np.subtract(-m, zs, out=zs)                    # zp - m, descending
     css = np.cumsum(zs)
 
     lo, hi = 0, M
@@ -96,7 +120,10 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
     for _ in range(int(math.ceil(math.log2(max(M, 1)))) + 2):
         mid = (lo + hi) // 2
         t_mid = None if mid == M else _tail_threshold(css, zs, mid, M)
-        overflow = mid < M and zs[mid] - t_mid >= 1.0 - ONE_TOL
+        # no slack here: pinning a coordinate that sits just below the cap
+        # would move the tail's threshold, and that coordinate, by up to 2x
+        # the slack
+        overflow = mid < M and zs[mid] - t_mid >= 1.0
         if mid == lo:
             if overflow:
                 pinned = hi
@@ -117,10 +144,80 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
         # every cached unit pinned (i* = M, zero tail); any multiplier in
         # the KKT gap works, the largest zeroed value is always inside it
         tau = zs[pinned]
+    np.subtract(zp, m, out=zp)
     np.subtract(zp, float(tau), out=zp)
     np.maximum(zp, 0.0, out=zp)
     zp[zp >= 1.0 - ONE_TOL] = 1.0
     return zp
+
+
+def _project_rows(z: np.ndarray, M: int) -> np.ndarray:
+    """Row-wise ``project_bounded_simplex`` of a finite (B, N) array.
+
+    Rows whose clamp fits keep it.  For the others, in depth coordinates
+    x = max(row) - max(z, 0) >= 0 and s = max(row) - tau, the clipped sum
+    f(s) = sum clip(s - x, 0, 1) rises from 0 at s = 0, gaining slope 1 at
+    each entry breakpoint s = x_j and losing it at each pin breakpoint
+    s = x_j + 1.  One sorted walk over both kinds of breakpoint finds the
+    segment where f crosses M, and s follows from that segment's counts.
+
+    Only each row's L largest entries are walked, L the most positive
+    entries in any active row: tau > 0 whenever capacity binds, so entries
+    at or below zero stay at zero.  Only the first M + 1 pin breakpoints
+    are walked: pinning M + 1 entries would already exceed M.
+    """
+    out = np.clip(z, 0.0, 1.0)
+    active = np.flatnonzero(out.sum(axis=1) > M)
+    if active.size == 0:
+        return out
+    work = z[active]
+    work.sort(axis=1)
+    # sorted rows put their positive entries last; L counts them in the row
+    # with the most, and is > M because the clamp overflows
+    N = work.shape[1]
+    L = N - int(np.argmax(work.max(axis=0) > 0.0))
+    top = np.maximum(work[:, -L:], 0.0)
+    m = top[:, -1:]
+    x = np.subtract(m, top[:, ::-1])               # ascending; x[:, 0] == 0
+    rows = np.arange(x.shape[0])
+
+    # Merged breakpoints, ascending, with the kind in the lowest mantissa
+    # bit: even for entry, odd for pin.  All keys are >= 0, so their int64
+    # views sort like the floats; the tag moves a key by at most one ulp,
+    # which shifts f by rounding only, and s below is recomputed exactly.
+    P = L + M + 1
+    keys = np.empty((x.shape[0], P))
+    keys[:, :L] = x
+    np.add(x[:, :M + 1], 1.0, out=keys[:, L:])
+    bits = keys.view(np.int64)
+    bits[:, :L] &= ~1
+    bits[:, L:] |= 1
+    bits.sort(axis=1)
+    pinned = np.cumsum(bits & 1, axis=1)             # pinned count after each breakpoint
+    interior = np.arange(1, P + 1) - 2 * pinned       # slope of f after each breakpoint
+    f = np.cumsum(interior[:, :-1] * np.diff(keys, axis=1), axis=1)
+    seg = np.count_nonzero(f < M, axis=1)             # f crosses M after breakpoint seg
+
+    k1 = pinned[rows, seg]
+    n_int = interior[rows, seg]
+    k2 = seg + 1 - k1
+    X = np.zeros((x.shape[0], L + 1))
+    np.cumsum(x, axis=1, out=X[:, 1:])
+    gap = X[rows, k2] - X[rows, k1] + (M - k1)
+    # n_int == 0 only when rounding puts the crossing on a flat segment,
+    # where all M top entries are pinned; the next depth is then inside it
+    s = np.where(n_int > 0, gap / np.maximum(n_int, 1), x[:, M])
+
+    # clip(z - tau, 0, 1) with tau = m - s, taken as (max(z, 0) - m) + s so
+    # that a huge m cannot absorb s; the pin boundary is snapped as for one row
+    np.take(z, active, axis=0, out=work)
+    np.maximum(work, 0.0, out=work)
+    work -= m
+    work += s[:, None]
+    np.maximum(work, 0.0, out=work)
+    work[work >= 1.0 - ONE_TOL] = 1.0
+    out[active] = work
+    return out
 
 
 def project_bounded_simplex_oracle(z, M: int) -> np.ndarray:

@@ -22,10 +22,12 @@ from .bench import regret_bound
 
 def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
     """Fast projection vs. exhaustive KKT oracle on random Gaussian inputs,
+    one vector at a time and again as batches of the cases sharing (n, M),
     plus idempotence and non-expansiveness spot checks."""
     rng = rng_stream(seed, "validate:projection")
     worst = 0.0
     mismatches = 0
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
     for _ in range(cases):
         n = int(rng.integers(2, 13))
         M = int(rng.integers(1, n + 1))
@@ -36,6 +38,14 @@ def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> d
         worst = max(worst, err)
         if err > tol:
             mismatches += 1
+        inputs, answers = groups.setdefault((n, M), ([], []))
+        inputs.append(z)
+        answers.append(exact)
+    batch_mismatches = 0
+    for (n, M), (inputs, answers) in groups.items():
+        rows = project_bounded_simplex(np.array(inputs), M)
+        errs = np.max(np.abs(rows - np.array(answers)), axis=1)
+        batch_mismatches += int(np.count_nonzero(errs > tol))
     idem_worst = 0.0
     nonexp_violations = 0
     for _ in range(min(cases, 2000)):
@@ -49,8 +59,10 @@ def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> d
             project_bounded_simplex(y1, M) - y1))))
         if np.linalg.norm(y1 - y2) > np.linalg.norm(z1 - z2) + 1e-12:
             nonexp_violations += 1
-    ok = mismatches == 0 and idem_worst <= 1e-12 and nonexp_violations == 0
+    ok = (mismatches == 0 and batch_mismatches == 0 and idem_worst <= 1e-12
+          and nonexp_violations == 0)
     return {"pass": ok, "cases": cases, "mismatches": mismatches,
+            "batch_mismatches": batch_mismatches,
             "worst_error": worst, "idempotence_worst": idem_worst,
             "nonexpansive_violations": nonexp_violations}
 

@@ -4,9 +4,11 @@ import pytest
 from edgecache.gradient_pgd import (WindowState, aux_cost, aux_cost_total,
                                     g_fn, g_vec, offline_pgd,
                                     pgd_window_update, window_gradient)
-from edgecache.model import ArrivalTrace, CostModel, DimensionError
+from edgecache.model import ArrivalTrace, CostModel, DimensionError, indicator_path
 from edgecache.projection import project_bounded_simplex
 from edgecache.sampler import rng_stream
+from edgecache.workloads import (PoissonParams, ReplacementParams, SqrtChurnParams,
+                                 gen_poisson, gen_replacement, gen_sqrt_churn)
 
 
 def test_g_fn_branches():
@@ -181,3 +183,40 @@ def test_sweeps_do_not_increase_surrogate_total():
                   for w in range(8)]
         for a, b in zip(totals, totals[1:]):
             assert b <= a + 1e-9
+
+
+def _offline_pgd_rowwise(trace, cost, iterations):
+    """Reference sweep: the synchronous offline PGD projecting one slot at a
+    time, with separate backward and forward derivative evaluations."""
+    T, N = trace.T, trace.N
+    theta = indicator_path(trace, cost.M).astype(float)
+    Q = np.zeros((T + 1, N))
+    Q[2:] = theta[:-1]
+    for _ in range(iterations):
+        grad = g_vec(Q[:-1], Q[1:], cost.beta, cost.gamma) - cost.alpha * trace.lam
+        grad[:-1] -= g_vec(Q[1:-1], Q[2:], cost.beta, cost.gamma)
+        nxt = np.zeros_like(Q)
+        for t in range(1, T + 1):
+            nxt[t] = project_bounded_simplex(Q[t] - cost.eta * grad[t - 1], cost.M)
+        Q = nxt
+    return Q[1:]
+
+
+@pytest.mark.parametrize("shape", ["sqrt-churn N=30", "replacement N=100",
+                                   "poisson N=1000"])
+def test_batched_offline_pgd_matches_rowwise_reference(shape):
+    if shape == "sqrt-churn N=30":
+        trace = gen_sqrt_churn(SqrtChurnParams(N=30, T=300, M=3, U=120), seed=11)
+        M = 3
+    elif shape == "replacement N=100":
+        trace = gen_replacement(ReplacementParams(N=100, T=300), seed=11)
+        M = 10
+    else:
+        trace = gen_poisson(PoissonParams(N=1000, T=300,
+                                          groups=((10, 2.0), (50, 1.0), (100, 0.5)),
+                                          popularity_shape=3.0), seed=11)
+        M = 10
+    cost = CostModel.uniform(0.05, 10.0, trace.N, M, gamma=0.05)
+    gap = np.max(np.abs(offline_pgd(trace, cost, 300)
+                        - _offline_pgd_rowwise(trace, cost, 300)))
+    assert gap <= 1e-12, gap

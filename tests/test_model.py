@@ -127,6 +127,24 @@ def test_cost_model_defaults_and_validation():
         CostModel.uniform(0.05, 10.0, 4, 2, gamma=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "eta"])
+def test_cost_model_rejects_non_finite_fields(field, bad):
+    kw = dict(alpha=0.05, beta=np.full(4, 10.0), M=2, gamma=0.05, eta=None)
+    if field == "beta":
+        kw["beta"] = np.array([10.0, bad, 10.0, 10.0])
+    else:
+        kw[field] = bad
+    with pytest.raises(ValueError, match=rf"{field} .*finite"):
+        CostModel(**kw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_rejects_non_finite_arrivals(bad):
+    with pytest.raises(ValueError, match=r"lam .*finite"):
+        ArrivalTrace(lam=[[1.0, bad], [2.0, 3.0]])
+
+
 def test_trace_roundtrip(tmp_path):
     lam = np.array([[1.0, 2.5, 0.0], [4.0, 0.0, 7.25]])
     tr = ArrivalTrace(lam=lam, U=12.0,

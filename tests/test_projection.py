@@ -145,3 +145,78 @@ def test_nonexpansiveness():
         d_out = np.linalg.norm(project_bounded_simplex(z1, M)
                                - project_bounded_simplex(z2, M))
         assert d_out <= d_in + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_on_both_paths(bad):
+    z = np.array([bad, 0.5, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        project_bounded_simplex(z, 1)
+    with pytest.raises(ValueError, match="finite"):
+        project_bounded_simplex(np.array([[0.2, 0.1, 0.0], z]), 1)
+
+
+def test_huge_magnitudes_do_not_overflow_on_both_paths():
+    z = np.array([1e308, 1e308, -1e308])
+    np.testing.assert_array_equal(project_bounded_simplex(z, 1), [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(project_bounded_simplex(z[None, :], 1),
+                                  [[0.5, 0.5, 0.0]])
+
+
+def test_batch_shape_errors():
+    with pytest.raises(DimensionError):
+        project_bounded_simplex(np.zeros((0, 3)), 1)
+    with pytest.raises(DimensionError):
+        project_bounded_simplex(np.zeros((2, 2, 2)), 1)
+    with pytest.raises(ValueError):
+        project_bounded_simplex(np.zeros((2, 3)), 4)
+
+
+@st.composite
+def _batches(draw):
+    B = draw(st.integers(min_value=1, max_value=8))
+    N = draw(st.integers(min_value=1, max_value=20))
+    M = draw(st.integers(min_value=1, max_value=N))
+    rows = draw(st.lists(
+        st.lists(st.floats(min_value=-3, max_value=3), min_size=N, max_size=N),
+        min_size=B, max_size=B))
+    return np.array(rows, dtype=float), M
+
+
+@given(_batches())
+@settings(max_examples=300, deadline=None)
+def test_batched_rows_match_oracle_and_single_row_path(batch):
+    Z, M = batch
+    Y = project_bounded_simplex(Z, M)
+    assert Y.shape == Z.shape
+    for z, y in zip(Z, Y):
+        np.testing.assert_allclose(y, project_bounded_simplex_oracle(z, M), atol=1e-9)
+        np.testing.assert_allclose(y, project_bounded_simplex(z, M), atol=1e-12, rtol=0)
+
+
+@given(_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_of_feasible_clamps_returns_the_clamp(batch):
+    Z, M = batch
+    # push all but each row's M largest entries below zero: at most M
+    # entries stay positive, each clamps to at most 1, so every clamp fits
+    rank = np.argsort(np.argsort(-Z, axis=1, kind="stable"), axis=1)
+    Z = np.where(rank < M, Z, -np.abs(Z) - 0.1)
+    clamp = np.clip(Z, 0.0, 1.0)
+    assert np.all(clamp.sum(axis=1) <= M)
+    np.testing.assert_array_equal(project_bounded_simplex(Z, M), clamp)
+
+
+def test_validate_projection_counts_batch_mismatches(monkeypatch):
+    from edgecache import validate
+    result = validate.check_projection(cases=300, seed=5)
+    assert result["pass"] and result["batch_mismatches"] == 0
+
+    def off_by_a_bit_in_batches(z, M):
+        y = project_bounded_simplex(z, M)
+        return y + 1e-6 if np.ndim(z) == 2 else y
+
+    monkeypatch.setattr(validate, "project_bounded_simplex", off_by_a_bit_in_batches)
+    broken = validate.check_projection(cases=300, seed=5)
+    assert broken["mismatches"] == 0
+    assert broken["batch_mismatches"] == 300 and not broken["pass"]
