@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from .gradient_pgd import offline_pgd
-from .model import ArrivalTrace, CostModel, RunRecord, per_slot_costs
+from .model import (ArrivalTrace, CostModel, RunRecord, per_slot_costs,
+                    running_total)
 from .workloads import PredictionOracle
 
 
@@ -176,7 +177,9 @@ def exact_opt_dp(trace: ArrivalTrace, cost: CostModel,
     runtime_ms = (time.perf_counter() - t0) * 1e3
     rec = _record("opt-dp", trace, decisions, cost, runtime_ms,
                   config={"policy": "opt-dp"})
-    assert abs(rec.total_cost - total) < 1e-6 * max(1.0, abs(total))
+    if not abs(rec.total_cost - total) < 1e-6 * max(1.0, abs(total)):
+        raise RuntimeError(f"exact DP value {total!r} differs from the recount "
+                           f"{rec.total_cost!r} of its decisions")
     return rec
 
 
@@ -194,9 +197,6 @@ def pseudo_opt(trace: ArrivalTrace, cost: CostModel, W_big: int = 300) -> RunRec
 def _record(policy: str, trace: ArrivalTrace, decisions, cost: CostModel,
             runtime_ms: float, config: dict) -> RunRecord:
     fwd, sw = per_slot_costs(trace, decisions, cost)
-    total = 0.0
-    for t in range(trace.T):
-        total += fwd[t] + sw[t]
     return RunRecord(policy=policy, decisions=np.asarray(decisions),
-                     forward=fwd, switch=sw, total_cost=total,
+                     forward=fwd, switch=sw, total_cost=running_total(fwd, sw),
                      runtime_ms=runtime_ms, config=config)

@@ -25,8 +25,6 @@ from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
                         SqrtChurnParams, gen_poisson, gen_replacement,
                         gen_sqrt_churn)
 
-SORT_ALGORITHM = "numpy stable (radix/timsort) argsort"  # fills the HeapSort role
-
 
 def regret(policy_cost: float, reference_cost: float) -> float:
     """Signed cost gap to a reference; negative is possible when the
@@ -42,18 +40,13 @@ def regret_bound(cost: CostModel, N: int, T: int, U: float, K: int, W: int,
         (6 sqrt(2M) b* (a + 3 b*) / (a W) + 3 b* N) sqrt(H_T T)
         + (a U + 6 b* N) T / K  +  2 b* H_T
     """
-    if W < 1:
-        raise ValueError("the bound needs a window of at least one slot")
-    a, bs, M = cost.alpha, cost.beta_star, cost.M
-    tracking = (6.0 * math.sqrt(2.0 * M) * bs * (a + 3.0 * bs) / (a * W)
-                + 3.0 * bs * N) * math.sqrt(H_T * T)
-    rounding = (a * U + 6.0 * bs * N) * T / K
-    churn = 2.0 * bs * H_T
-    return tracking + rounding + churn
+    return regret_bound_terms(cost, N, T, U, K, W, H_T)["total"]
 
 
 def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
                        W: int, H_T: float) -> dict:
+    """The ``regret_bound`` ceiling split into its tracking, rounding and
+    churn terms, with their sum as ``total``."""
     if W < 1:
         raise ValueError("the bound needs a window of at least one slot")
     a, bs, M = cost.alpha, cost.beta_star, cost.M
@@ -125,32 +118,46 @@ def _settings_for(base: dict, axis: str, value) -> dict:
     return s
 
 
+# name -> call; each takes the keyword arguments ``call_policy`` passes and
+# ignores those it has no use for.  ``oracle`` is None for exact forecasts.
+POLICIES = {
+    "rosc": lambda trace, cost, W, K, seed, oracle, **_: run_rosc(
+        trace, RoscConfig(cost=cost, W=W, K=K, seed=seed), predictions=oracle),
+    "rhc": lambda trace, cost, W, oracle, **_: baselines.rhc_policy(
+        trace, cost, W, predictions=oracle),
+    "chc": lambda trace, cost, W, oracle, **_: baselines.chc_policy(
+        trace, cost, W, predictions=oracle),
+    "sopt": lambda trace, cost, **_: baselines.sopt_policy(trace, cost),
+    "opt-dp": lambda trace, cost, **_: baselines.exact_opt_dp(trace, cost),
+    "pseudo-opt": lambda trace, cost, W_big, **_: baselines.pseudo_opt(
+        trace, cost, W_big),
+}
+
+
+def call_policy(name: str, trace: ArrivalTrace, cost: CostModel, W: int, K: int,
+                seed: int, R: float = 0.0, noisy_baselines: bool = False,
+                W_big: int = 300) -> RunRecord:
+    """Run the named policy.  ``rosc`` sees forecasts with noise weight R;
+    the other policies see them only with ``noisy_baselines``, and exact
+    arrivals otherwise."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy '{name}'")
+    noisy = R > 0 and (name == "rosc" or noisy_baselines)
+    oracle = PredictionOracle(trace, R=R, seed=seed) if noisy else None
+    return POLICIES[name](trace=trace, cost=cost, W=W, K=K, seed=seed,
+                          oracle=oracle, W_big=W_big)
+
+
 def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
                noisy_baselines: bool = False) -> RunRecord:
     """Dispatch one policy run under the given sweep settings."""
     alpha = settings["alpha"]
-    beta_star = settings["ratio"] * alpha
-    cost = CostModel.uniform(alpha, beta_star, trace.N, int(settings["M"]),
-                             gamma=settings["gamma"])
-    W = int(settings["W"])
-    R = float(settings.get("R", 0.0))
-    if name == "rosc":
-        oracle = PredictionOracle(trace, R=R, seed=seed) if R > 0 else None
-        cfg = RoscConfig(cost=cost, W=W, K=int(settings["K"]), seed=seed)
-        return run_rosc(trace, cfg, predictions=oracle)
-    baseline_oracle = (PredictionOracle(trace, R=R, seed=seed)
-                       if (noisy_baselines and R > 0) else None)
-    if name == "rhc":
-        return baselines.rhc_policy(trace, cost, W, predictions=baseline_oracle)
-    if name == "chc":
-        return baselines.chc_policy(trace, cost, W, predictions=baseline_oracle)
-    if name == "sopt":
-        return baselines.sopt_policy(trace, cost)
-    if name == "pseudo-opt":
-        return baselines.pseudo_opt(trace, cost)
-    if name == "opt-dp":
-        return baselines.exact_opt_dp(trace, cost)
-    raise ValueError(f"unknown policy '{name}'")
+    cost = CostModel.uniform(alpha, settings["ratio"] * alpha, trace.N,
+                             int(settings["M"]), gamma=settings["gamma"])
+    return call_policy(name, trace, cost, W=int(settings["W"]),
+                       K=int(settings["K"]), seed=seed,
+                       R=float(settings.get("R", 0.0)),
+                       noisy_baselines=noisy_baselines)
 
 
 def _run_point(task: dict) -> dict:
@@ -248,7 +255,6 @@ def _aggregate(spec: ExperimentSpec, cells: list, failures: list) -> dict:
         "seeds": list(spec.seeds),
         "points": points,
         "failures": failures,
-        "sort_algorithm": SORT_ALGORITHM,
         "ok": not failures,
     }
 
@@ -278,7 +284,7 @@ def _write_report(spec: ExperimentSpec, report: dict, out: Path) -> None:
                 stats = point["policies"].get(p)
                 cols.append("" if stats is None else repr(stats["runtime_ms_mean"]))
             fh.write(",".join(cols) + "\n")
-    config = {"spec": asdict(spec), "sort_algorithm": SORT_ALGORITHM}
+    config = {"spec": asdict(spec)}
     with open(out / "effective_config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,20 +18,19 @@ import json
 import sys
 from pathlib import Path
 
-from . import baselines, bench, validate
+from . import bench, validate
 from .baselines import InstanceTooLargeError
 from .model import CostModel, load_trace, path_length, save_trace
-from .rosc import RoscConfig, run_rosc, write_effective_config
-from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
-                        SqrtChurnParams, gen_poisson, gen_replacement,
-                        gen_sqrt_churn)
+from .rosc import write_effective_config
+from .workloads import (PoissonParams, ReplacementParams, SqrtChurnParams,
+                        gen_poisson, gen_replacement, gen_sqrt_churn)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
-POLICIES = ("rosc", "rhc", "chc", "sopt", "opt-dp", "pseudo-opt")
+POLICIES = tuple(bench.POLICIES)
 
 
 def _int_list(text: str) -> list:
@@ -136,25 +135,13 @@ def cmd_run(args, parser) -> int:
     cost = CostModel.uniform(alpha, beta_star, trace.N, M, gamma=gamma)
 
     try:
-        if args.policy == "rosc":
-            oracle = PredictionOracle(trace, R=R, seed=seed) if R > 0 else None
-            rec = run_rosc(trace, RoscConfig(cost=cost, W=W, K=K, seed=seed),
-                           predictions=oracle)
-        elif args.policy == "rhc":
-            rec = baselines.rhc_policy(trace, cost, max(W, 1))
-        elif args.policy == "chc":
-            rec = baselines.chc_policy(trace, cost, max(W, 1))
-        elif args.policy == "sopt":
-            rec = baselines.sopt_policy(trace, cost)
-        elif args.policy == "opt-dp":
-            rec = baselines.exact_opt_dp(trace, cost)
-        elif args.policy == "pseudo-opt":
-            rec = baselines.pseudo_opt(trace, cost, W_big=args.W_big)
-        else:  # pragma: no cover - argparse choices guard this
-            parser.error(f"unknown policy {args.policy}")
+        rec = bench.call_policy(args.policy, trace, cost, W=W, K=K, seed=seed,
+                                R=R, noisy_baselines=True, W_big=args.W_big)
     except InstanceTooLargeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        parser.error(str(exc))
 
     rec.seed = seed
     rec.path_length = path_length(trace, M)
@@ -245,9 +232,8 @@ def cmd_validate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args, parser) -> int:
-    cost = CostModel.uniform(args.alpha, args.beta_star, max(args.N, args.M),
-                             args.M)
     try:
+        cost = CostModel.uniform(args.alpha, args.beta_star, args.N, args.M)
         terms = bench.regret_bound_terms(cost, args.N, args.T, args.U,
                                          args.K, args.W, args.HT)
     except ValueError as exc:

@@ -10,7 +10,7 @@ rounding step introduces:
                   = 3 b d           for d > g
                   = 0               for d < 0
 
-Its derivative in the current slot's probability is ``g_fn`` below.  A
+Its derivative in the current slot's probability is ``g_vec`` below.  A
 probability vector appears in its own slot's surrogate and the next slot's,
 so the slot gradient couples three consecutive vectors.
 """
@@ -25,30 +25,20 @@ from .model import ArrivalTrace, CostModel, DimensionError, indicator_path
 from .projection import project_bounded_simplex
 
 
-def g_fn(a: float, b: float, beta_n: float, gamma: float) -> float:
-    """Marginal surrogate switching cost of raising b given previous level a.
+def g_vec(a, b, beta: np.ndarray, gamma: float) -> np.ndarray:
+    """Marginal surrogate switching cost of raising b given previous level a,
+    elementwise over aligned service vectors.
 
     Piecewise in d = b - a: zero for d < 0, (6 beta / gamma) d on
     0 <= d <= gamma (the boundary d = gamma included), 3 beta beyond.
     """
-    d = b - a
-    if d < 0:
-        return 0.0
-    if d <= gamma:
-        return 6.0 * beta_n / gamma * d
-    return 3.0 * beta_n
-
-
-def g_vec(a, b, beta: np.ndarray, gamma: float) -> np.ndarray:
-    """Vectorized ``g_fn`` over aligned service vectors."""
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    ramp = 6.0 * beta / gamma * d
-    return np.where(d < 0, 0.0, np.where(d <= gamma, ramp, 3.0 * beta))
+    return _g_fast(np.subtract(b, a, dtype=float), 6.0 * beta / gamma, 3.0 * beta, gamma)
 
 
 def _g_fast(d: np.ndarray, ramp_coef: np.ndarray, cap: np.ndarray,
             gamma: float) -> np.ndarray:
-    # g_vec with the per-cost coefficient arrays precomputed by the caller
+    # g_vec of d = b - a, with ramp_coef = 6 beta / gamma and cap = 3 beta
+    # precomputed by callers that reuse them across sweeps
     return np.where(d < 0, 0.0, np.where(d <= gamma, ramp_coef * d, cap))
 
 

@@ -165,30 +165,24 @@ def total_cost_F(trace: ArrivalTrace, decisions, cost: CostModel) -> float:
     the slot-0 cache is empty, so slot 1 pays instantiation for everything
     it caches.
     """
-    dec = np.asarray(decisions, dtype=float)
-    if dec.shape != (trace.T, trace.N):
-        raise DimensionError(f"decisions shape {dec.shape} != {(trace.T, trace.N)}")
-    prev = np.zeros(trace.N)
-    total = 0.0
-    for t in range(trace.T):
-        fwd, sw = slot_cost(trace.lam[t], prev, dec[t], cost)
-        total += fwd + sw
-        prev = dec[t]
-    return total
+    return running_total(*per_slot_costs(trace, decisions, cost))
 
 
 def per_slot_costs(trace: ArrivalTrace, decisions, cost: CostModel):
-    """Per-slot (forwarding, switching) arrays for a decision sequence."""
+    """Per-slot (forwarding, switching) arrays for a decision sequence:
+    ``slot_cost`` of every slot at once, from an empty slot-0 cache."""
     dec = np.asarray(decisions, dtype=float)
     if dec.shape != (trace.T, trace.N):
         raise DimensionError(f"decisions shape {dec.shape} != {(trace.T, trace.N)}")
-    fwd = np.empty(trace.T)
-    sw = np.empty(trace.T)
-    prev = np.zeros(trace.N)
-    for t in range(trace.T):
-        fwd[t], sw[t] = slot_cost(trace.lam[t], prev, dec[t], cost)
-        prev = dec[t]
+    fwd = cost.alpha * np.einsum("tn,tn->t", trace.lam, 1.0 - dec)
+    sw = np.maximum(np.diff(dec, axis=0, prepend=0.0), 0.0) @ cost.beta
     return fwd, sw
+
+
+def running_total(forward, switch) -> float:
+    """Sum of per-slot costs, added slot after slot: adding a run's CSV rows
+    in order gives the same float."""
+    return float(np.cumsum(forward + switch)[-1])
 
 
 def top_m_indicator(lambda_row, M: int) -> np.ndarray:
@@ -276,10 +270,22 @@ def load_trace(csv_path) -> ArrivalTrace:
         if not header or header[0] != "t":
             raise ValueError(f"{csv_path}: expected header starting with 't'")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")[1:]])
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{csv_path}, line {lineno}: {len(cells)} columns, "
+                                 f"the header has {len(header)}")
+            try:
+                t, *values = (float(v) for v in cells)
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}, line {lineno}: {exc}") from None
+            if t != len(rows) + 1:
+                raise ValueError(f"{csv_path}, line {lineno}: slot t={cells[0]}, "
+                                 f"expected {len(rows) + 1}")
+            rows.append(values)
     lam = np.asarray(rows, dtype=float)
     U = None
     meta: dict = {}

@@ -28,29 +28,6 @@ import numpy as np
 
 from .model import DimensionError
 
-ONE_TOL = 1e-12  # a projected coordinate this close below 1 is snapped to 1
-
-
-def project_simplex(a, c: float) -> np.ndarray:
-    """Project a descending-sorted vector onto {y >= 0 : sum(y) = c}.
-
-    Threshold rule with prefix sums: take the largest I with
-    (a_1 + ... + a_I - c) / I < a_I, subtract tau = (prefix_I - c) / I and
-    clip at zero.  The input must already be sorted in descending order;
-    the output then is as well.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise DimensionError("project_simplex needs a nonempty vector")
-    if c <= 0:
-        raise ValueError("simplex budget c must be positive")
-    prefix = np.cumsum(a)
-    idx = np.arange(1, a.size + 1)
-    feasible = (prefix - c) / idx < a
-    last = int(np.nonzero(feasible)[0][-1])  # feasible[0] always holds: -c < 0
-    tau = (prefix[last] - c) / (last + 1)
-    return np.maximum(a - tau, 0.0)
-
 
 def _tail_threshold(css: np.ndarray, zs: np.ndarray, i: int, M: int) -> float:
     """Simplex-projection threshold for the tail starting at i with budget
@@ -135,11 +112,12 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    assert pinned is not None, "binary search failed to terminate"
+    if pinned is None:
+        raise RuntimeError("binary search over the pinned count did not terminate")
 
     # At the optimum the pinned coordinates sit at or above tau + 1 and the
     # rest strictly below, so the per-coordinate solution needs no
-    # un-permutation: y = clip(z - tau, 0, 1) with the pin boundary snapped.
+    # un-permutation: y = clip(z - tau, 0, 1).
     if tau is None:
         # every cached unit pinned (i* = M, zero tail); any multiplier in
         # the KKT gap works, the largest zeroed value is always inside it
@@ -147,7 +125,7 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
     np.subtract(zp, m, out=zp)
     np.subtract(zp, float(tau), out=zp)
     np.maximum(zp, 0.0, out=zp)
-    zp[zp >= 1.0 - ONE_TOL] = 1.0
+    np.minimum(zp, 1.0, out=zp)
     return zp
 
 
@@ -209,13 +187,13 @@ def _project_rows(z: np.ndarray, M: int) -> np.ndarray:
     s = np.where(n_int > 0, gap / np.maximum(n_int, 1), x[:, M])
 
     # clip(z - tau, 0, 1) with tau = m - s, taken as (max(z, 0) - m) + s so
-    # that a huge m cannot absorb s; the pin boundary is snapped as for one row
+    # that a huge m cannot absorb s
     np.take(z, active, axis=0, out=work)
     np.maximum(work, 0.0, out=work)
     work -= m
     work += s[:, None]
     np.maximum(work, 0.0, out=work)
-    work[work >= 1.0 - ONE_TOL] = 1.0
+    np.minimum(work, 1.0, out=work)
     out[active] = work
     return out
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient_pgd import WindowState, pgd_window_update
-from .model import ArrivalTrace, CostModel, RunRecord, slot_cost, top_m_indicator
+from .model import (ArrivalTrace, CostModel, RunRecord, running_total,
+                    slot_cost, top_m_indicator)
 from .sampler import (SamplePathEnsemble, decision_at, pack_ensemble,
                       quantize_probs, rng_stream, update_ensemble)
 from .workloads import PredictionOracle
@@ -144,15 +145,12 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
             dump.close()
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
-    total = 0.0
-    for t in range(T):
-        total += forward[t] + switch[t]
     return RunRecord(
         policy="rosc",
         decisions=decisions,
         forward=forward,
         switch=switch,
-        total_cost=total,
+        total_cost=running_total(forward, switch),
         runtime_ms=runtime_ms,
         seed=config.seed,
         config=config.as_dict(),

@@ -207,11 +207,12 @@ def check_regret_ceiling(instances: int = 20, seeds: int = 100,
             "min_margin": float(min(margins)) if margins else None}
 
 
+# suite -> (function, the keyword arguments it takes)
 CHECKS = {
-    "projection": check_projection,
-    "lemma1": check_window_parity,
-    "sampler": check_sampler,
-    "theorem1": check_regret_ceiling,
+    "projection": (check_projection, ("cases", "seed", "tol")),
+    "lemma1": (check_window_parity, ("instances", "seed", "tol")),
+    "sampler": (check_sampler, ("updates", "seed", "bound_seeds", "slack")),
+    "theorem1": (check_regret_ceiling, ("instances", "seeds", "seed")),
 }
 
 
@@ -222,12 +223,9 @@ def run_checks(names=None, **overrides) -> dict:
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check '{name}'; available: {sorted(CHECKS)}")
-        kwargs = {}
-        fn = CHECKS[name]
-        for key, value in overrides.items():
-            if value is not None and key in fn.__code__.co_varnames[:fn.__code__.co_argcount]:
-                kwargs[key] = value
-        result = fn(**kwargs)
+        fn, params = CHECKS[name]
+        result = fn(**{key: value for key, value in overrides.items()
+                       if value is not None and key in params})
         report["checks"][name] = result
         report["pass"] = report["pass"] and result["pass"]
     return report

@@ -203,10 +203,7 @@ class PredictionOracle:
         lam = self.trace.slot(t)
         if self.R == 0.0 or t < tau or not lam.any():
             return lam.copy() if 1 <= t <= self.trace.T else lam
-        walk = np.zeros(self.trace.N)
-        for s in range(tau, t + 1):
-            walk += self._noise(s)
-        return np.maximum(lam * (1.0 + self.R * walk), 0.0)
+        return self.predict_window(tau, t - tau + 1)[-1]
 
     def predict(self, n: int, t: int, tau: int) -> float:
         """Forecast for one service; repeated queries are consistent."""

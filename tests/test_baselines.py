@@ -201,6 +201,18 @@ def test_exact_dp_budget_refusal():
         exact_opt_dp(trace2, _cost(4, M=2))
 
 
+def test_exact_dp_self_check_raises_when_the_recount_disagrees(monkeypatch):
+    from edgecache import baselines, model
+
+    def inflated(trace, decisions, cost):
+        fwd, sw = model.per_slot_costs(trace, decisions, cost)
+        return fwd * 2.0, sw
+
+    monkeypatch.setattr(baselines, "per_slot_costs", inflated)
+    with pytest.raises(RuntimeError, match="recount"):
+        exact_opt_dp(ArrivalTrace(lam=[[100.0, 50.0]]), _cost(2, beta=10.0, M=1))
+
+
 def test_exact_dp_lower_bounds_every_policy():
     rng = rng_stream(6, "test:lb")
     lam = rng.poisson(25, (15, 6)).astype(float)

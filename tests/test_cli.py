@@ -82,6 +82,37 @@ def test_run_w0_is_valid(tmp_path):
     assert code == 0
 
 
+def test_run_horizon_control_applies_forecast_noise(tmp_path):
+    from edgecache.baselines import rhc_policy
+    from edgecache.model import CostModel, load_trace
+    from edgecache.workloads import PredictionOracle
+
+    path = _make_trace(tmp_path)
+    out = tmp_path / "noisy"
+    code = main(["run", "--policy", "rhc", "--trace", str(path), "--W", "4",
+                 "--M", "2", "--beta-star", "1", "--seed", "3", "--R", "0.3",
+                 "--out", str(out)])
+    assert code == 0
+    trace = load_trace(path)
+    cost = CostModel.uniform(0.05, 1.0, trace.N, 2)
+    noisy = rhc_policy(trace, cost, 4,
+                       predictions=PredictionOracle(trace, R=0.3, seed=3))
+    exact = rhc_policy(trace, cost, 4)
+    assert noisy.total_cost != exact.total_cost
+    doc = json.loads((out / "rhc.json").read_text())
+    assert doc["total_cost"] == noisy.total_cost
+
+
+@pytest.mark.parametrize("policy", ["rhc", "chc"])
+def test_run_horizon_control_refuses_w0(tmp_path, capsys, policy):
+    trace = _make_trace(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", policy, "--trace", str(trace), "--W", "0",
+              "--M", "2", "--out", str(tmp_path / "w0")])
+    assert exc.value.code == 2
+    assert "at least one slot" in capsys.readouterr().err
+
+
 def test_run_optdp_budget_refusal(tmp_path, capsys):
     trace = _make_trace(tmp_path)  # N = 12 exceeds the exact-DP budget
     code = main(["run", "--policy", "opt-dp", "--trace", str(trace),
@@ -164,3 +195,12 @@ def test_bound_rejects_w0():
               "--N", "10", "--T", "100", "--U", "50", "--K", "10",
               "--W", "0", "--HT", "5"])
     assert exc.value.code == 2
+
+
+def test_bound_rejects_capacity_above_services(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--alpha", "0.05", "--beta-star", "10", "--M", "10",
+              "--N", "5", "--T", "100", "--U", "50", "--K", "10",
+              "--W", "2", "--HT", "5"])
+    assert exc.value.code == 2
+    assert "M=10" in capsys.readouterr().err

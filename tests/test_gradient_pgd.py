@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from edgecache.gradient_pgd import (WindowState, aux_cost, aux_cost_total,
-                                    g_fn, g_vec, offline_pgd,
-                                    pgd_window_update, window_gradient)
+                                    g_vec, offline_pgd, pgd_window_update,
+                                    window_gradient)
 from edgecache.model import ArrivalTrace, CostModel, DimensionError, indicator_path
 from edgecache.projection import project_bounded_simplex
 from edgecache.sampler import rng_stream
@@ -11,28 +11,29 @@ from edgecache.workloads import (PoissonParams, ReplacementParams, SqrtChurnPara
                                  gen_poisson, gen_replacement, gen_sqrt_churn)
 
 
-def test_g_fn_branches():
-    assert g_fn(0.2, 0.18, 10.0, 0.05) == 0.0
-    assert g_fn(0.2, 0.22, 10.0, 0.05) == pytest.approx(24.0)
+def test_g_vec_branches():
+    a = [0.2, 0.2, 0.0, 0.0, 0.3]
+    b = [0.18, 0.22, 0.05, 0.06, 0.3]
+    g = g_vec(a, b, np.full(5, 10.0), 0.05)
+    assert g[0] == 0.0
+    assert g[1] == pytest.approx(24.0)
     # the ramp owns its upper boundary exactly as stated
-    assert g_fn(0.0, 0.05, 10.0, 0.05) == pytest.approx(6 * 10.0)
-    assert g_fn(0.0, 0.06, 10.0, 0.05) == pytest.approx(3 * 10.0)
-    assert g_fn(0.3, 0.3, 10.0, 0.05) == 0.0
+    assert g[2] == pytest.approx(6 * 10.0)
+    assert g[3] == pytest.approx(3 * 10.0)
+    assert g[4] == 0.0
 
 
-def test_g_fn_branchwise_monotone_and_matches_vector_form():
+def test_g_vec_branchwise_monotone():
     # The ramp is monotone up to its cap and constant beyond, but the value
     # drops from 6b to 3b across d = gamma, so global monotonicity fails by
     # construction; assert the shape branch by branch.
     rng = rng_stream(0, "test:gfn")
     beta, gamma = 7.0, 0.1
     d = np.sort(rng.uniform(-1, 1, 200))
-    vals = np.array([g_fn(0.0, float(x), beta, gamma) for x in d])
+    vals = g_vec(np.zeros(200), d, np.full(200, beta), gamma)
     below = d <= gamma
     assert np.all(np.diff(vals[below]) >= -1e-12)
     assert np.all(vals[~below] == 3 * beta)
-    np.testing.assert_allclose(
-        g_vec(np.zeros(200), d, np.full(200, beta), gamma), vals)
 
 
 def _cost(n, beta=10.0, gamma=0.05, alpha=0.05, M=None, eta=None):
@@ -54,8 +55,8 @@ def test_aux_cost_negative_moves_cost_nothing():
     assert aux_cost([0.1, 0.0], [0.9, 0.6], [0.0, 0.0], c) == 0.0
 
 
-def test_aux_cost_finite_difference_matches_g_fn():
-    """Central differences of the switching part recover g_fn away from the
+def test_aux_cost_finite_difference_matches_g_vec():
+    """Central differences of the switching part recover g_vec away from the
     two breakpoints."""
     rng = rng_stream(1, "test:fd")
     c = _cost(1, beta=8.0, gamma=0.07, M=1)
@@ -70,7 +71,7 @@ def test_aux_cost_finite_difference_matches_g_fn():
         up = aux_cost([cur + h], [prev], [0.0], c)
         dn = aux_cost([cur - h], [prev], [0.0], c)
         fd = (up - dn) / (2 * h)
-        g = g_fn(prev, cur, 8.0, c.gamma)
+        g = g_vec([prev], [cur], np.array([8.0]), c.gamma)[0]
         assert fd == pytest.approx(g, rel=1e-4, abs=1e-4)
         checked += 1
 

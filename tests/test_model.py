@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
                              forwarding_cost, load_trace, path_length,
-                             save_trace, switching_cost, top_m_indicator,
-                             total_cost_F)
+                             per_slot_costs, save_trace, slot_cost,
+                             switching_cost, top_m_indicator, total_cost_F)
 
 
 def test_forwarding_cost_examples():
@@ -62,6 +62,22 @@ def test_total_cost_permutation_invariant():
     cost_p = CostModel(alpha=0.05, beta=beta[perm], M=3)
     permuted = total_cost_F(ArrivalTrace(lam=lam[:, perm]), dec[:, perm], cost_p)
     assert permuted == pytest.approx(base, rel=1e-12)
+
+
+def test_per_slot_costs_match_a_slot_by_slot_loop():
+    rng = np.random.default_rng(2)
+    lam = rng.poisson(5.0, (40, 9)).astype(float)
+    dec = rng.uniform(0, 1, (40, 9))
+    cost = CostModel(alpha=0.05, beta=rng.uniform(1, 10, 9), M=5)
+    fwd, sw = per_slot_costs(ArrivalTrace(lam=lam), dec, cost)
+    prev = np.zeros(9)
+    for t in range(40):
+        f, s = slot_cost(lam[t], prev, dec[t], cost)
+        assert fwd[t] == pytest.approx(f, rel=1e-12, abs=1e-12)
+        assert sw[t] == pytest.approx(s, rel=1e-12, abs=1e-12)
+        prev = dec[t]
+    with pytest.raises(DimensionError):
+        per_slot_costs(ArrivalTrace(lam=lam), dec[1:], cost)
 
 
 def test_top_m_indicator_examples():
@@ -159,3 +175,16 @@ def test_trace_roundtrip(tmp_path):
     assert back.U == 12.0
     assert back.meta["generator"] == "unit"
     assert sidecar.exists()
+
+
+@pytest.mark.parametrize("body, where", [
+    ("t,s1,s2,s3\n1,4,5\n2,6,7\n", "line 2"),          # narrower than the header
+    ("t,s1,s2\n1,4,5\n2,6,7,8\n", "line 3"),           # ragged
+    ("t,s1,s2\n1,4,5\n1,6,7\n", "line 3"),             # repeated slot
+    ("t,s1,s2\n2,4,5\n3,6,7\n", "line 2"),             # does not start at 1
+], ids=["narrow", "ragged", "repeated-t", "t-not-from-1"])
+def test_load_trace_rejects_malformed_rows(tmp_path, body, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=rf"bad\.csv.*{where}"):
+        load_trace(path)

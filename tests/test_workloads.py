@@ -119,6 +119,9 @@ def test_predict_consistency_and_clamping():
     row = oracle.predict_row(10, 4)
     assert np.all(row >= 0)
     assert row[2] == a
+    # bit for bit the walk of the noise rows of slots 4..10, added in order
+    walk = sum(oracle._noise(s) for s in range(4, 11))
+    np.testing.assert_array_equal(row, np.maximum(tr.lam[9] * (1.0 + 0.5 * walk), 0.0))
     # window view agrees with scalar queries
     win = oracle.predict_window(4, 8)
     np.testing.assert_allclose(win[6], oracle.predict_row(10, 4))
