@@ -5,8 +5,7 @@ from .model import (ArrivalTrace, CostModel, DimensionError, RunRecord,
                     forwarding_cost, switching_cost, total_cost_F,
                     top_m_indicator, path_length, load_trace, save_trace)
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
-from .gradient_pgd import (WindowState, aux_cost, g_vec, offline_pgd,
-                           pgd_window_update, window_gradient)
+from .gradient_pgd import aux_cost, g_vec, offline_pgd
 from .sampler import (SamplePathEnsemble, decision_at, expected_switching,
                       quantize_probs, rng_stream, update_ensemble)
 from .rosc import RoscConfig, fractional_trace, run_rosc

@@ -132,9 +132,9 @@ def cmd_run(args, parser) -> int:
     K = args.K if args.K is not None else 100
     seed = args.seed if args.seed is not None else 0
     R = args.R if args.R is not None else 0.0
-    cost = CostModel.uniform(alpha, beta_star, trace.N, M, gamma=gamma)
 
     try:
+        cost = CostModel.uniform(alpha, beta_star, trace.N, M, gamma=gamma)
         rec = bench.call_policy(args.policy, trace, cost, W=W, K=K, seed=seed,
                                 R=R, noisy_baselines=True, W_big=args.W_big)
     except InstanceTooLargeError as exc:

@@ -56,12 +56,13 @@ def _tail_threshold(css: np.ndarray, zs: np.ndarray, i: int, M: int) -> float:
     return (css[i + lo - 1] - base - budget) / lo
 
 
-def project_bounded_simplex(z, M: int) -> np.ndarray:
+def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
     """Exact projection of z onto {p in [0,1]^N : sum(p) <= M}.
 
-    A (B, N) array projects each of its rows onto the same set.  Raises
+    A (B, N) array projects each of its rows onto the same set, into
+    ``out`` when given, which must not share memory with z.  Raises
     ``DimensionError`` for other shapes and ``ValueError`` for an M outside
-    [1, N] or for non-finite entries.
+    [1, N], for non-finite entries or for an unusable ``out``.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.size == 0:
@@ -70,10 +71,13 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
     N = z.shape[-1]
     if not (1 <= M <= N):
         raise ValueError(f"M={M} outside [1, N={N}]")
-    if not np.isfinite(z).all():
+    # min and max propagate NaN and reach any infinity without a temporary
+    if not (np.isfinite(z.min()) and np.isfinite(z.max())):
         raise ValueError("project_bounded_simplex needs finite input")
+    if out is not None and (z.ndim != 2 or np.shares_memory(out, z)):
+        raise ValueError("out takes a (B, N) result and must not share memory with z")
     if z.ndim == 2:
-        return _project_rows(z, M)
+        return _project_rows(z, M, out)
 
     zp = np.maximum(z, 0.0)
     clamped = np.minimum(zp, 1.0)
@@ -129,8 +133,9 @@ def project_bounded_simplex(z, M: int) -> np.ndarray:
     return zp
 
 
-def _project_rows(z: np.ndarray, M: int) -> np.ndarray:
-    """Row-wise ``project_bounded_simplex`` of a finite (B, N) array.
+def _project_rows(z: np.ndarray, M: int, out=None) -> np.ndarray:
+    """Row-wise ``project_bounded_simplex`` of a finite (B, N) array, into
+    ``out`` when given.
 
     Rows whose clamp fits keep it.  For the others, in depth coordinates
     x = max(row) - max(z, 0) >= 0 and s = max(row) - tau, the clipped sum
@@ -144,7 +149,7 @@ def _project_rows(z: np.ndarray, M: int) -> np.ndarray:
     at or below zero stay at zero.  Only the first M + 1 pin breakpoints
     are walked: pinning M + 1 entries would already exceed M.
     """
-    out = np.clip(z, 0.0, 1.0)
+    out = np.clip(z, 0.0, 1.0, out=out)
     active = np.flatnonzero(out.sum(axis=1) > M)
     if active.size == 0:
         return out

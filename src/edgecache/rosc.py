@@ -1,14 +1,15 @@
 """The randomized online caching policy.
 
-Each outer step t (starting W slots before the horizon so every slot gets a
-full complement of window updates):
+Online, slot t receives W projected-gradient updates on the smoothed
+surrogate cost at steps t - W + 1 .. t; by Lemma 1 these equal W
+synchronous sweeps over the whole horizon, which is how they run here:
 
-1. fetch the newest forecast, the arrivals of slot t + W - 1;
-2. seed slot t + W's probability vector with that slot's top-M indicator;
-3. sweep the window [t, t + W - 1] once with projected gradient descent on
-   the smoothed surrogate cost (descending slot order);
-4. once t >= 1, quantize slot t's probabilities, advance the sample-path
-   ensemble to match them, and commit the followed path as the decision.
+1. seed slot t with the top-M indicator of slot t - 1's forecast made W
+   slots before t (true arrivals when W = 0; slot 1 starts empty);
+2. run W sweeps of ``pgd_window_update``, sweep j charging each slot's
+   forecast made W - j slots ahead;
+3. in one rounding pass, quantize every slot, advance the sample-path
+   ensemble slot by slot to match, and commit the followed path.
 
 Decisions are always charged against the true arrivals, never forecasts.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient_pgd import WindowState, pgd_window_update
+from .gradient_pgd import pgd_window_update, sweep_buffers
 from .model import (ArrivalTrace, CostModel, RunRecord, running_total,
                     slot_cost, top_m_indicator)
 from .sampler import (SamplePathEnsemble, decision_at, pack_ensemble,
@@ -105,7 +106,6 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     sampler_rng = rng_stream(config.seed, "rosc:sampler")
     k_star = int(kstar_rng.integers(K))
 
-    state = WindowState.empty(T, N)
     ensemble = SamplePathEnsemble.initial(K, N, cost.M, k_star)
     decisions = np.zeros((T, N), dtype=np.int8)
     forward = np.zeros(T)
@@ -116,30 +116,28 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
 
     t0 = time.perf_counter()
     try:
-        for t in range(-W + 1, T + 1):
-            if W > 0:
-                window_hat = predictions.predict_window(t, W)
-                lookahead = window_hat[W - 1]
-            else:
-                window_hat = None
-                lookahead = predictions.predict_row(t - 1, t)
-            theta_hat = top_m_indicator(lookahead, cost.M)
-            if 1 <= t + W <= T:
-                state.P[t + W] = theta_hat
-            if W > 0:
-                pgd_window_update(state, window_hat, cost, t, W)
-            if t >= 1:
-                prev_S = ensemble.S
-                pq = quantize_probs(state.P[t], K)
-                ensemble = update_ensemble(ensemble, pq, sampler_rng)
-                ens_insertions += int(np.maximum(ensemble.S - prev_S, 0).sum())
-                x = decision_at(ensemble)
-                decisions[t - 1] = x
-                forward[t - 1], switch[t - 1] = slot_cost(
-                    trace.lam[t - 1], prev_decision, x, cost)
-                prev_decision = x
-                if dump is not None:
-                    dump.write(pack_ensemble(ensemble.S))
+        Q = np.zeros((T + 1, N))  # row t: slot t; row 0: the empty slot 0
+        lookahead = (predictions.predict_lead(W - 1) if W > 0
+                     else predictions.trace.lam)
+        for t in range(2, T + 1):
+            Q[t] = top_m_indicator(lookahead[t - 2], cost.M)
+        pressure = np.empty((T, N))
+        buffers = sweep_buffers(T, N)
+        for lead in range(W - 1, -1, -1):
+            np.multiply(predictions.predict_lead(lead), cost.alpha, out=pressure)
+            pgd_window_update(Q, pressure, cost, buffers)
+
+        p_quant = quantize_probs(Q[1:], K)
+        for t in range(T):
+            prev_S = ensemble.S
+            ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
+            ens_insertions += int(np.count_nonzero(ensemble.S > prev_S))
+            x = decision_at(ensemble)
+            decisions[t] = x
+            forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
+            prev_decision = x
+            if dump is not None:
+                dump.write(pack_ensemble(ensemble.S))
     finally:
         if dump is not None:
             dump.close()
@@ -155,7 +153,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
         seed=config.seed,
         config=config.as_dict(),
         extras={
-            "fractional": state.P[1:].copy(),
+            "fractional": Q[1:],
             "k_star": k_star,
             "ensemble_insertions_per_path": ens_insertions / K,
         },

@@ -89,7 +89,9 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     if target.sum() > K * M:
         raise ValueError("quantized load exceeds K * M; quantize_probs not applied?")
     S = ensemble.S.copy()
-    current = S.sum(axis=0, dtype=np.int64)
+    # int32 counts of 0/1 entries are exact below 2^31 paths and services,
+    # and sum in half the time of int64 ones
+    current = S.sum(axis=0, dtype=np.int32)
 
     for n in np.flatnonzero(target != current):
         delta = int(target[n] - current[n])
@@ -106,7 +108,7 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     # Capacity repair: total load K * sum(pQ) <= K * M, so an overfull row
     # implies an underfull one, and every move strictly shrinks the total
     # overflow; hence at most K * M moves.
-    row_sums = S.sum(axis=1, dtype=np.int64)
+    row_sums = S.sum(axis=1, dtype=np.int32)
     moves = 0
     while True:
         over = np.flatnonzero(row_sums > M)

@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import baselines
-from .gradient_pgd import offline_pgd
-from .model import ArrivalTrace, CostModel, path_length
+from .gradient_pgd import g_vec, offline_pgd
+from .model import ArrivalTrace, CostModel, path_length, top_m_indicator
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .rosc import RoscConfig, fractional_trace, run_rosc
 from .sampler import (SamplePathEnsemble, expected_switching, quantize_probs,
                       rng_stream, update_ensemble)
 from .bench import regret_bound
+from .workloads import PredictionOracle
 
 
 def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
@@ -80,19 +81,50 @@ def _random_instance(rng, n_max=20, t_max=50, w_max=8):
     return trace, cost, W
 
 
+def online_pgd_reference(trace: ArrivalTrace, cost: CostModel, W: int,
+                         predictions: PredictionOracle) -> np.ndarray:
+    """Pre-rounding trace of the windowed online PGD replayed step by step,
+    the reference ``run_rosc``'s sweeps must reproduce (Lemma 1): step t
+    seeds slot t + W, then updates slots t + W - 1 down to t on forecasts
+    made at t, each reading its predecessor's pre-update snapshot ``Pbar``."""
+    T, N = trace.T, trace.N
+    P = np.zeros((T + 1, N))
+    Pbar = np.zeros((T + 1, N))
+    for t in range(-W + 1, T + 1):
+        window = predictions.predict_window(t, W) if W > 0 else None
+        lookahead = window[W - 1] if W > 0 else predictions.predict_row(t - 1, t)
+        if 1 <= t + W <= T:
+            P[t + W] = top_m_indicator(lookahead, cost.M)
+        for tau in range(min(t + W - 1, T), max(1, t) - 1, -1):
+            grad = (g_vec(Pbar[tau - 1], P[tau], cost.beta, cost.gamma)
+                    - cost.alpha * window[tau - t])
+            if tau < T:
+                grad -= g_vec(P[tau], P[tau + 1], cost.beta, cost.gamma)
+            Pbar[tau] = P[tau]
+            P[tau] = project_bounded_simplex(P[tau] - cost.eta * grad, cost.M)
+    return P[1:]
+
+
 def check_window_parity(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> dict:
-    """Online windowed PGD must equal the synchronous offline twin: on
-    exact forecasts, the pre-rounding probability trace after W per-slot
-    updates matches W full-horizon sweeps, elementwise."""
+    """Lemma 1: the pre-rounding trace of ``run_rosc`` must equal the
+    step-by-step online replay elementwise, on exact and on noisy (R = 0.3)
+    forecasts; on exact ones W offline full-horizon sweeps must too."""
     rng = rng_stream(seed, "validate:window-parity")
     worst = 0.0
     failures = 0
     for i in range(instances):
         trace, cost, W = _random_instance(rng)
         cfg = RoscConfig(cost=cost, W=W, K=10, seed=int(rng.integers(2**32)))
-        online = fractional_trace(run_rosc(trace, cfg))
-        offline = offline_pgd(trace, cost, W)
-        err = float(np.max(np.abs(online - offline)))
+        err = 0.0
+        for R in (0.0, 0.3):
+            reference = online_pgd_reference(
+                trace, cost, W, PredictionOracle(trace, R=R, seed=i))
+            online = fractional_trace(run_rosc(
+                trace, cfg, predictions=PredictionOracle(trace, R=R, seed=i)))
+            err = max(err, float(np.max(np.abs(online - reference))))
+            if R == 0.0:
+                offline = offline_pgd(trace, cost, W)
+                err = max(err, float(np.max(np.abs(offline - reference))))
         worst = max(worst, err)
         if err > tol:
             failures += 1

@@ -198,6 +198,21 @@ class PredictionOracle:
             self._rows[s] = row
         return row
 
+    def predict_lead(self, lead: int) -> np.ndarray:
+        """(T, N) forecasts of every slot made ``lead`` slots ahead: row
+        s - 1 equals ``predict_window(s - lead, lead + 1)[-1]`` bit for bit,
+        from the same noise rows added in the same order."""
+        if lead < 0:
+            raise ValueError("lead must be nonnegative")
+        if self.R == 0.0:
+            return self.trace.lam
+        T = self.trace.T
+        noise = np.stack([self._noise(s) for s in range(1 - lead, T + 1)])
+        walk = np.zeros((T, self.trace.N))
+        for i in range(lead + 1):
+            walk += noise[i: i + T]
+        return np.maximum(self.trace.lam * (1.0 + self.R * walk), 0.0)
+
     def predict_row(self, t: int, tau: int) -> np.ndarray:
         """Forecast the whole arrival vector of slot t as seen from tau."""
         lam = self.trace.slot(t)

@@ -113,6 +113,15 @@ def test_run_horizon_control_refuses_w0(tmp_path, capsys, policy):
     assert "at least one slot" in capsys.readouterr().err
 
 
+def test_run_rejects_capacity_above_services(tmp_path, capsys):
+    trace = _make_trace(tmp_path)  # N = 12
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "rhc", "--trace", str(trace), "--M", "20",
+              "--out", str(tmp_path / "m20")])
+    assert exc.value.code == 2
+    assert "M=20" in capsys.readouterr().err
+
+
 def test_run_optdp_budget_refusal(tmp_path, capsys):
     trace = _make_trace(tmp_path)  # N = 12 exceeds the exact-DP budget
     code = main(["run", "--policy", "opt-dp", "--trace", str(trace),

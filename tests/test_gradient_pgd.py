@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from edgecache.gradient_pgd import (WindowState, aux_cost, aux_cost_total,
-                                    g_vec, offline_pgd, pgd_window_update,
-                                    window_gradient)
+from edgecache.gradient_pgd import (aux_cost, aux_cost_total, g_vec, offline_pgd,
+                                    pgd_window_update, sweep_buffers)
 from edgecache.model import ArrivalTrace, CostModel, DimensionError, indicator_path
 from edgecache.projection import project_bounded_simplex
 from edgecache.sampler import rng_stream
@@ -76,76 +75,71 @@ def test_aux_cost_finite_difference_matches_g_vec():
         checked += 1
 
 
-def _state_from(P_rows, Pbar_rows=None):
-    P = np.asarray(P_rows, dtype=float)
-    state = WindowState(P=P.copy(), Pbar=P.copy() if Pbar_rows is None
-                        else np.asarray(Pbar_rows, dtype=float))
-    return state
+def _sweep(Q_rows, lam, cost):
+    """One ``pgd_window_update`` of the slots in Q_rows (row 0 is slot 0);
+    returns the new iterate."""
+    Q = np.asarray(Q_rows, dtype=float).copy()
+    T, N = Q.shape[0] - 1, Q.shape[1]
+    pressure = cost.alpha * np.broadcast_to(np.asarray(lam, dtype=float), (T, N))
+    pgd_window_update(Q, pressure, cost, sweep_buffers(T, N))
+    return Q
+
+
+def _gradient(Q_rows, lam, cost, slot):
+    """Window-objective gradient at one slot, read off a sweep whose step
+    stays inside the feasible set, so the projection leaves it as is."""
+    before = np.asarray(Q_rows, dtype=float)[slot]
+    return (before - _sweep(Q_rows, lam, cost)[slot]) / cost.eta
 
 
 def test_window_gradient_flat_probabilities():
     c = _cost(3, M=2)
-    state = _state_from([[0, 0, 0]] + [[0.4, 0.4, 0.4]] * 3)
-    state.Pbar[1:] = 0.4
     lam = np.array([7.0, 7.0, 7.0])
-    grad = window_gradient(state, 2, lam, c)
+    grad = _gradient([[0, 0, 0]] + [[0.4, 0.4, 0.4]] * 3, lam, c, slot=2)
     np.testing.assert_allclose(grad, -c.alpha * lam)
 
 
 def test_window_gradient_hand_case():
     c = _cost(1, beta=10.0, gamma=0.05, M=1)
-    state = WindowState.empty(3, 1)
-    state.Pbar[1] = 0.10   # snapshot of the previous slot
-    state.P[2] = 0.12
-    state.P[3] = 0.12
-    grad = window_gradient(state, 2, np.array([20.0]), c)  # alpha*lam = 1
+    # slot 1 at 0.10 is the previous slot's value the backward term reads
+    grad = _gradient([[0.0], [0.10], [0.12], [0.12]], [20.0], c, slot=2)  # alpha*lam = 1
     assert grad[0] == pytest.approx(24.0 - 1.0 - 0.0)
 
 
 def test_window_gradient_at_horizon_drops_forward_term():
     c = _cost(1, M=1)
-    state = WindowState.empty(2, 1)
-    state.Pbar[1] = 0.5
-    state.P[2] = 0.5
-    grad = window_gradient(state, 2, np.array([40.0]), c)  # tau = T
+    grad = _gradient([[0.0], [0.5], [0.5]], [40.0], c, slot=2)  # slot 2 = T
     assert grad[0] == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        window_gradient(state, 3, np.array([1.0]), c)
 
 
 def test_pgd_update_zero_step_only_snapshots():
+    """A step of ~0 leaves every slot where it was."""
     c = _cost(2, M=1, eta=1e-300)  # eta must be positive; effectively zero
-    state = WindowState.empty(3, 2)
-    state.P[1:] = [[0.3, 0.1], [0.2, 0.2], [0.1, 0.3]]
-    before = state.P.copy()
-    lam = np.ones((2, 2))
-    pgd_window_update(state, lam, c, t=2, W=2)
-    np.testing.assert_allclose(state.P, before, atol=1e-12)
-    np.testing.assert_allclose(state.Pbar[2:4], before[2:4])
+    before = [[0.0, 0.0], [0.3, 0.1], [0.2, 0.2], [0.1, 0.3]]
+    np.testing.assert_allclose(_sweep(before, np.ones(2), c), before, atol=1e-12)
 
 
 def test_pgd_update_w1_matches_direct_formula():
+    """One sweep is one update of every slot by the direct formula."""
     c = _cost(2, M=1)
-    state = WindowState.empty(2, 2)
-    state.P[1:] = [[0.6, 0.0], [0.1, 0.5]]
-    state.Pbar[1] = [0.2, 0.1]
-    lam = np.array([[30.0, 5.0]])
-    expected = project_bounded_simplex(
-        state.P[2] - c.eta * window_gradient(state, 2, lam[0], c), c.M)
-    pgd_window_update(state, lam, c, t=2, W=1)
-    np.testing.assert_allclose(state.P[2], expected)
-    np.testing.assert_allclose(state.P[1], [0.6, 0.0])  # untouched
+    Q = np.array([[0.0, 0.0], [0.6, 0.0], [0.1, 0.5]])
+    lam = np.array([[10.0, 0.0], [30.0, 5.0]])
+    expected = np.zeros((2, 2))
+    for t in (1, 2):
+        grad = g_vec(Q[t - 1], Q[t], c.beta, c.gamma) - c.alpha * lam[t - 1]
+        if t < 2:
+            grad -= g_vec(Q[t], Q[t + 1], c.beta, c.gamma)
+        expected[t - 1] = project_bounded_simplex(Q[t] - c.eta * grad, c.M)
+    np.testing.assert_allclose(_sweep(Q, lam, c)[1:], expected)
 
 
 def test_pgd_update_descends_toward_demand():
     c = _cost(3, beta=1.0, M=2, gamma=0.5)
-    state = WindowState.empty(5, 3)
-    state.P[1:] = 0.2
-    state.Pbar[1:] = 0.2
-    lam = np.full((3, 3), 500.0)  # forwarding pressure dwarfs switching
+    Q = np.full((6, 3), 0.2)
+    Q[0] = 0.0
     for _ in range(200):
-        pgd_window_update(state, lam, c, t=1, W=3)
-    touched = state.P[1:4]
+        Q = _sweep(Q, np.full(3, 500.0), c)  # forwarding pressure dwarfs switching
+    touched = Q[1:]
     assert np.all(touched >= 0.2)
     assert np.all(touched.sum(axis=1) <= c.M + 1e-9)
     assert touched.sum(axis=1)[0] == pytest.approx(c.M, abs=1e-6)

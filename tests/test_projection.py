@@ -105,6 +105,26 @@ def test_batch_shape_errors():
         project_bounded_simplex(np.zeros((2, 3)), 4)
 
 
+def test_batched_out_receives_the_projection():
+    rng = rng_stream(12, "test:out")
+    z = rng.normal(0.5, 1.0, size=(6, 9))
+    out = np.full_like(z, np.nan)
+    result = project_bounded_simplex(z, 3, out=out)
+    assert result is out
+    np.testing.assert_array_equal(out, project_bounded_simplex(z, 3))
+
+
+def test_out_must_not_share_memory_with_the_input():
+    # the batched path reads z again after it has written out
+    z = np.array([[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]])
+    for out in (z, z[::-1]):
+        with pytest.raises(ValueError, match="out"):
+            project_bounded_simplex(z, 1, out=out)
+    with pytest.raises(ValueError, match="out"):
+        project_bounded_simplex(z[0], 1, out=np.empty(3))  # 1-D input
+    np.testing.assert_array_equal(z, [[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]])
+
+
 @pytest.mark.parametrize("z, M", [
     ([2.499999999999, 2.2, 0.4999999999998999, 1.0000000000003, 1.0,
       1.499999999999, 1.4999999999999, 1.5, 0.5000000000008], 6),

@@ -6,6 +6,7 @@ from edgecache.model import (ArrivalTrace, CostModel, indicator_path,
                              total_cost_F)
 from edgecache.rosc import RoscConfig, fractional_trace, run_rosc
 from edgecache.sampler import read_ensemble_frames, rng_stream
+from edgecache.validate import online_pgd_reference
 from edgecache.workloads import PredictionOracle
 
 
@@ -87,6 +88,19 @@ def test_noisy_predictions_break_offline_parity_but_stay_feasible():
     assert np.all(frac.sum(axis=1) <= cost.M + 1e-9)
     clean = fractional_trace(run_rosc(trace, RoscConfig(cost=cost, W=4, K=10, seed=2)))
     assert not np.allclose(frac, clean)
+
+
+@pytest.mark.parametrize("W", [0, 1, 4])
+def test_noisy_fractional_trace_matches_step_by_step_replay(W):
+    """Lemma 1 on noisy forecasts: sweep j reads each slot's forecast made
+    W - j slots ahead, exactly what the online step made then."""
+    trace = _instance(seed=9, n=7, T=18)
+    cost = _cost(trace.N, M=3)
+    rec = run_rosc(trace, RoscConfig(cost=cost, W=W, K=10, seed=1),
+                   predictions=PredictionOracle(trace, R=0.3, seed=4))
+    reference = online_pgd_reference(trace, cost, W,
+                                     PredictionOracle(trace, R=0.3, seed=4))
+    np.testing.assert_allclose(fractional_trace(rec), reference, rtol=0, atol=1e-12)
 
 
 def test_theorem_gamma_policy():

@@ -127,6 +127,20 @@ def test_predict_consistency_and_clamping():
     np.testing.assert_allclose(win[6], oracle.predict_row(10, 4))
 
 
+@pytest.mark.parametrize("R", [0.0, 0.4])
+def test_predict_lead_rows_equal_window_forecasts(R):
+    tr = gen_replacement(ReplacementParams(N=9, T=25, U=60), seed=3)
+    oracle = PredictionOracle(tr, R=R, seed=5)
+    for lead in (0, 1, 4, 9, 3):  # in mixed order, over the same cached noise rows
+        rows = oracle.predict_lead(lead)
+        assert rows.shape == (tr.T, tr.N)
+        for s in range(1, tr.T + 1):
+            np.testing.assert_array_equal(
+                rows[s - 1], oracle.predict_window(s - lead, lead + 1)[-1])
+    with pytest.raises(ValueError):
+        oracle.predict_lead(-1)
+
+
 def test_predict_zero_demand_is_noise_immune():
     lam = np.zeros((10, 3))
     lam[:, 0] = 50.0
