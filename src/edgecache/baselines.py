@@ -135,19 +135,17 @@ def sopt_policy(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
                    config={"policy": "sopt"})
 
 
-def exact_opt_dp(trace: ArrivalTrace, cost: CostModel,
-                 max_services: int = 10, max_cache: int = 4,
-                 max_slots: int = 50) -> RunRecord:
+def exact_opt_dp(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
     """Exact dynamic offline optimum by DP over cache sets of size <= M.
 
     State space is every subset of at most M services, so this refuses
     anything beyond desk scale.
     """
     T, N, M = trace.T, trace.N, cost.M
-    if N > max_services or M > max_cache or T > max_slots:
+    if N > 10 or M > 4 or T > 50:
         raise InstanceTooLargeError(
             f"instance N={N}, M={M}, T={T} exceeds the exact-DP budget "
-            f"(N <= {max_services}, M <= {max_cache}, T <= {max_slots})")
+            "(N <= 10, M <= 4, T <= 50)")
     t0 = time.perf_counter()
     subsets = [frozenset(c) for m in range(M + 1)
                for c in itertools.combinations(range(N), m)]

@@ -22,8 +22,6 @@ from . import bench, validate
 from .baselines import InstanceTooLargeError
 from .model import CostModel, load_trace, path_length, save_trace
 from .rosc import write_effective_config
-from .workloads import (PoissonParams, ReplacementParams, SqrtChurnParams,
-                        gen_poisson, gen_replacement, gen_sqrt_churn)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,6 +37,12 @@ def _int_list(text: str) -> list:
 
 def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v != ""]
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """``bench.PAPER_DEFAULTS`` with every explicitly given flag laid over it."""
+    return {key: default if getattr(args, key) is None else getattr(args, key)
+            for key, default in bench.PAPER_DEFAULTS.items()}
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -59,49 +63,31 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 # generate
 # ---------------------------------------------------------------------------
 
+# generate flag -> generator parameter; a parameter the model does not take
+# makes its generator raise TypeError, which is a usage error
+GENERATE_FLAGS = {"N": "N", "T": "T", "U": "U", "zipf": "zipf_exponent",
+                  "lifetime_mean": "rank_lifetime_mean", "num_ranks": "num_ranks"}
+
+
 def cmd_generate(args, parser) -> int:
     _merge_config(args, parser)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    params = {}
+    params = {"N": 1000, "T": 10_000}
     if args.params:
         with open(args.params) as fh:
-            params = json.load(fh)
-
-    if args.model == "replacement":
-        p = ReplacementParams(
-            N=args.N if args.N is not None else params.get("N", 1000),
-            T=args.T if args.T is not None else params.get("T", 10_000),
-            U=args.U if args.U is not None else params.get("U", 200),
-            zipf_exponent=args.zipf if args.zipf is not None else params.get("zipf_exponent", 0.8),
-            rank_lifetime_mean=(args.lifetime_mean if args.lifetime_mean is not None
-                                else params.get("rank_lifetime_mean", 100.0)),
-            num_ranks=args.num_ranks if args.num_ranks is not None else params.get("num_ranks"),
-            thinning=params.get("thinning"),
-        )
-        trace = gen_replacement(p, args.seed)
-    elif args.model == "poisson":
-        kw = dict(params)
-        if args.N is not None:
-            kw["N"] = args.N
-        if args.T is not None:
-            kw["T"] = args.T
+            params.update(json.load(fh))
+    for flag, name in GENERATE_FLAGS.items():
+        if getattr(args, flag) is not None:
+            params[name] = getattr(args, flag)
+    if args.model == "sqrt-churn":
+        params.setdefault("M", args.M[0] if args.M else 10)
+    try:
         if args.groups is not None:
-            kw["groups"] = tuple(tuple(g) for g in json.loads(args.groups))
-        elif "groups" in kw:
-            kw["groups"] = tuple(tuple(g) for g in kw["groups"])
-        kw.setdefault("N", 1000)
-        kw.setdefault("T", 10_000)
-        trace = gen_poisson(PoissonParams(**kw), args.seed)
-    elif args.model == "sqrt-churn":
-        kw = dict(params)
-        for key, val in (("N", args.N), ("T", args.T), ("U", args.U)):
-            if val is not None:
-                kw[key] = val
-        kw.setdefault("M", args.M[0] if args.M else 10)
-        trace = gen_sqrt_churn(SqrtChurnParams(**kw), args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        parser.error(f"unknown model {args.model}")
+            params["groups"] = json.loads(args.groups)
+        trace = bench.make_trace(args.model.replace("-", "_"), params, args.seed)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"--model {args.model}: {exc}")
 
     if not trace.lam.any():
         print("warning: generated trace is all zeros", file=sys.stderr)
@@ -124,19 +110,18 @@ def cmd_run(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    alpha = args.alpha if args.alpha is not None else 0.05
-    beta_star = args.beta_star if args.beta_star is not None else alpha * (args.ratio or 200.0)
-    M = args.M if args.M is not None else 10
-    gamma = args.gamma if args.gamma is not None else 0.05
-    W = args.W if args.W is not None else 10
-    K = args.K if args.K is not None else 100
+    settings = _settings(args)
+    alpha, M, gamma, W, K, R = (settings[k] for k in
+                                ("alpha", "M", "gamma", "W", "K", "R"))
+    beta_star = (args.beta_star if args.beta_star is not None
+                 else alpha * settings["ratio"])
     seed = args.seed if args.seed is not None else 0
-    R = args.R if args.R is not None else 0.0
+    W_big = args.W_big if args.W_big is not None else 300
 
     try:
         cost = CostModel.uniform(alpha, beta_star, trace.N, M, gamma=gamma)
         rec = bench.call_policy(args.policy, trace, cost, W=W, K=K, seed=seed,
-                                R=R, noisy_baselines=True, W_big=args.W_big)
+                                R=R, noisy_baselines=True, W_big=W_big)
     except InstanceTooLargeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -150,7 +135,7 @@ def cmd_run(args, parser) -> int:
     write_effective_config(out, {
         "command": "run", "policy": args.policy, "trace": str(args.trace),
         "alpha": alpha, "beta_star": beta_star, "M": M, "gamma": gamma,
-        "W": W, "K": K, "seed": seed, "R": R,
+        "W": W, "K": K, "seed": seed, "R": R, "W_big": W_big,
     })
     print(f"{args.policy}: total_cost={rec.total_cost:.6g} "
           f"runtime_ms={rec.runtime_ms:.3f}")
@@ -170,13 +155,7 @@ def cmd_sweep(args, parser) -> int:
     else:
         if args.seeds is None or args.seeds <= 0:
             parser.error("--seeds must be a positive count")
-        # --paper-defaults pins the documented preset as the base; explicit
-        # flags still win, matching the file < flags precedence rule.
-        base = dict(bench.PAPER_DEFAULTS)
-        for key in ("alpha", "ratio", "M", "W", "K", "gamma", "R"):
-            val = getattr(args, key, None)
-            if val is not None:
-                base[key] = val
+        base = _settings(args)
         values = _float_list(args.values) if args.values else [base[args.axis]]
         if args.axis in ("M", "W"):
             values = [int(v) for v in values]
@@ -274,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace")
     r.add_argument("--W", type=int)
     r.add_argument("--K", type=int)
-    r.add_argument("--W-big", type=int, dest="W_big", default=300)
+    r.add_argument("--W-big", type=int, dest="W_big", help="pseudo-opt sweeps (300)")
     r.add_argument("--seed", type=int)
     r.add_argument("--alpha", type=float)
     r.add_argument("--beta-star", type=float, dest="beta_star")
@@ -288,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="multi-seed sweep over one axis")
     s.add_argument("--spec", help="JSON ExperimentSpec document")
-    s.add_argument("--paper-defaults", action="store_true", dest="paper_defaults",
-                   help="ratio=200, M=10, W=10, K=100, gamma=0.05, R=0")
     s.add_argument("--workload", choices=("replacement", "poisson", "sqrt_churn"),
                    default="replacement")
     s.add_argument("--axis", choices=bench.SWEEP_AXES, default="W")

@@ -86,12 +86,6 @@ class CostModel:
         return cls(alpha=alpha, beta=np.full(n_services, float(beta_star)),
                    M=M, gamma=gamma, eta=eta)
 
-    def replace(self, **kw) -> "CostModel":
-        base = dict(alpha=self.alpha, beta=self.beta, M=self.M,
-                    gamma=self.gamma, eta=self.eta)
-        base.update(kw)
-        return CostModel(**base)
-
 
 @dataclass(frozen=True)
 class ArrivalTrace:
@@ -214,12 +208,7 @@ def indicator_path(trace: ArrivalTrace, M: int) -> np.ndarray:
 def path_length(trace: ArrivalTrace, M: int) -> float:
     """Cumulative L1 churn of the top-M indicator, starting from empty."""
     theta = indicator_path(trace, M)
-    prev = np.zeros(trace.N, dtype=np.int8)
-    total = 0
-    for t in range(trace.T):
-        total += int(np.abs(theta[t] - prev).sum())
-        prev = theta[t]
-    return float(total)
+    return float(np.abs(np.diff(theta, axis=0, prepend=0)).sum())
 
 
 def in_bounded_simplex(p, M: int, tol: float = FEAS_TOL) -> bool:

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gradient_pgd import pgd_window_update, sweep_buffers
 from .model import (ArrivalTrace, CostModel, RunRecord, running_total,
                     slot_cost, top_m_indicator)
-from .sampler import (SamplePathEnsemble, decision_at, pack_ensemble,
-                      quantize_probs, rng_stream, update_ensemble)
+from .sampler import (SamplePathEnsemble, decision_at, quantize_probs,
+                      rng_stream, update_ensemble)
 from .workloads import PredictionOracle
 
 
@@ -66,7 +66,8 @@ class RoscConfig:
             raise ValueError(
                 f"theorem mode gives gamma={gamma:.4g} outside (0, 1); "
                 "needs 0 < H_T < T")
-        return self.cost.replace(gamma=gamma, eta=gamma / (12.0 * self.cost.beta_star))
+        return replace(self.cost, gamma=gamma,
+                       eta=gamma / (12.0 * self.cost.beta_star))
 
     def as_dict(self) -> dict:
         cost = self.effective_cost()
@@ -85,15 +86,13 @@ class RoscConfig:
 
 
 def run_rosc(trace: ArrivalTrace, config: RoscConfig,
-             predictions: PredictionOracle | None = None,
-             dump_path=None) -> RunRecord:
+             predictions: PredictionOracle | None = None) -> RunRecord:
     """Execute the policy over the whole trace and return its record.
 
     ``predictions`` defaults to an exact oracle on the true trace.  The
     record's ``extras`` carry the pre-rounding probability trace
     (``fractional``), the followed path, and the ensemble-average insertion
-    count.  With ``dump_path`` the per-slot ensembles are appended to a
-    packed bitset file.
+    count.
     """
     cost = config.effective_cost()
     T, N, W, K = trace.T, trace.N, config.W, config.K
@@ -112,35 +111,28 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     switch = np.zeros(T)
     ens_insertions = 0
     prev_decision = np.zeros(N)
-    dump = open(dump_path, "wb") if dump_path is not None else None
 
     t0 = time.perf_counter()
-    try:
-        Q = np.zeros((T + 1, N))  # row t: slot t; row 0: the empty slot 0
-        lookahead = (predictions.predict_lead(W - 1) if W > 0
-                     else predictions.trace.lam)
-        for t in range(2, T + 1):
-            Q[t] = top_m_indicator(lookahead[t - 2], cost.M)
-        pressure = np.empty((T, N))
-        buffers = sweep_buffers(T, N)
-        for lead in range(W - 1, -1, -1):
-            np.multiply(predictions.predict_lead(lead), cost.alpha, out=pressure)
-            pgd_window_update(Q, pressure, cost, buffers)
+    Q = np.zeros((T + 1, N))  # row t: slot t; row 0: the empty slot 0
+    lookahead = (predictions.predict_lead(W - 1) if W > 0
+                 else predictions.trace.lam)
+    for t in range(2, T + 1):
+        Q[t] = top_m_indicator(lookahead[t - 2], cost.M)
+    pressure = np.empty((T, N))
+    buffers = sweep_buffers(T, N)
+    for lead in range(W - 1, -1, -1):
+        np.multiply(predictions.predict_lead(lead), cost.alpha, out=pressure)
+        pgd_window_update(Q, pressure, cost, buffers)
 
-        p_quant = quantize_probs(Q[1:], K)
-        for t in range(T):
-            prev_S = ensemble.S
-            ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
-            ens_insertions += int(np.count_nonzero(ensemble.S > prev_S))
-            x = decision_at(ensemble)
-            decisions[t] = x
-            forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
-            prev_decision = x
-            if dump is not None:
-                dump.write(pack_ensemble(ensemble.S))
-    finally:
-        if dump is not None:
-            dump.close()
+    p_quant = quantize_probs(Q[1:], K)
+    for t in range(T):
+        prev_S = ensemble.S
+        ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
+        ens_insertions += int(np.count_nonzero(ensemble.S > prev_S))
+        x = decision_at(ensemble)
+        decisions[t] = x
+        forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
+        prev_decision = x
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
     return RunRecord(

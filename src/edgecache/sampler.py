@@ -10,7 +10,6 @@ of per-path insertions stays proportional to the movement of the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -139,42 +138,11 @@ def expected_switching(ensembles) -> float:
     (1/K) * sum over slots, paths and services of positive flips, starting
     from the all-empty ensemble.
     """
-    total = 0
-    prev = None
-    K = None
-    for ens in ensembles:
-        S = ens.S if isinstance(ens, SamplePathEnsemble) else np.asarray(ens)
-        if prev is None:
-            prev = np.zeros_like(S)
-            K = ens.K if isinstance(ens, SamplePathEnsemble) else S.shape[0]
-        total += int(np.maximum(S - prev, 0).sum())
-        prev = S
-    return 0.0 if K is None else total / K
+    S = np.stack([ens.S for ens in ensembles])
+    return int(np.maximum(np.diff(S, axis=0, prepend=0), 0).sum()) / ensembles[0].K
 
 
 def decision_at(ensemble: SamplePathEnsemble) -> np.ndarray:
     """The binary cache vector of the followed path."""
     return ensemble.S[ensemble.k_star].copy()
 
-
-# ---------------------------------------------------------------------------
-# Optional per-slot ensemble dump for debugging: row-major K x N bits per
-# frame, packed little-endian within bytes, frames appended in slot order.
-# ---------------------------------------------------------------------------
-
-def pack_ensemble(S: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(S, dtype=np.uint8).reshape(-1),
-                       bitorder="little").tobytes()
-
-
-def read_ensemble_frames(path, K: int, N: int) -> list[np.ndarray]:
-    frame_bytes = (K * N + 7) // 8
-    raw = Path(path).read_bytes()
-    if len(raw) % frame_bytes:
-        raise ValueError("dump length is not a whole number of frames")
-    frames = []
-    for off in range(0, len(raw), frame_bytes):
-        bits = np.unpackbits(np.frombuffer(raw[off:off + frame_bytes], dtype=np.uint8),
-                             bitorder="little")[: K * N]
-        frames.append(bits.reshape(K, N).astype(np.int8))
-    return frames

@@ -5,17 +5,41 @@ import pytest
 from edgecache.cli import main
 
 
-def test_generate_smoke_and_determinism(tmp_path, capsys):
+@pytest.mark.parametrize("model", ["replacement", "poisson", "sqrt-churn"])
+def test_generate_smoke_and_determinism(tmp_path, capsys, model):
     out1 = tmp_path / "a" / "trace.csv"
     out2 = tmp_path / "b" / "trace.csv"
-    argv = ["generate", "--model", "replacement", "--N", "40", "--T", "60",
-            "--U", "80", "--seed", "7", "--M", "3,5"]
+    argv = ["generate", "--model", model, "--N", "40", "--T", "60",
+            "--seed", "7", "--M", "3,5"]
+    if model != "poisson":
+        argv += ["--U", "80"]
     assert main(argv + ["--out", str(out1)]) == 0
     captured = capsys.readouterr().out
     assert "path length at M=3" in captured and "path length at M=5" in captured
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
+
+
+def test_generate_sqrt_churn_runs_on_default_size(tmp_path, capsys):
+    assert main(["generate", "--model", "sqrt-churn", "--N", "12", "--M", "3",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert "T=10000, N=12" in capsys.readouterr().out
+    assert main(["generate", "--model", "sqrt-churn", "--T", "30",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    assert "T=30, N=1000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "replacement", "--N", "10", "--num-ranks", "20"], "num_ranks=20"),
+    (["--model", "poisson", "--groups", "[[0, 1]]"], "lifetimes must be positive"),
+    (["--model", "poisson", "--zipf", "1.2"], "zipf_exponent"),
+], ids=["num-ranks-above-N", "zero-lifetime-group", "zipf-on-poisson"])
+def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *argv, "--T", "5", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_generate_zero_trace_warns(tmp_path, capsys):
@@ -128,6 +152,28 @@ def test_run_optdp_budget_refusal(tmp_path, capsys):
                  "--M", "2", "--out", str(tmp_path / "dp")])
     assert code == 3
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_run_ratio_zero_is_usage_error(tmp_path, capsys):
+    trace = _make_trace(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "sopt", "--trace", str(trace), "--M", "2",
+              "--ratio", "0", "--out", str(tmp_path / "r0")])
+    assert exc.value.code == 2
+    assert "beta must be a vector of positive costs" in capsys.readouterr().err
+
+
+def test_run_replays_from_its_effective_config(tmp_path):
+    trace = _make_trace(tmp_path)
+    first, again = tmp_path / "r1", tmp_path / "r2"
+    assert main(["run", "--policy", "pseudo-opt", "--trace", str(trace),
+                 "--M", "2", "--W-big", "7", "--out", str(first)]) == 0
+    config = first / "effective_config.json"
+    assert main(["run", "--policy", "pseudo-opt", "--config", str(config),
+                 "--out", str(again)]) == 0
+    assert (first / "pseudo-opt.csv").read_bytes() == \
+        (again / "pseudo-opt.csv").read_bytes()
+    assert json.loads(config.read_text())["W_big"] == 7
 
 
 def test_run_unknown_policy_is_usage_error(tmp_path):

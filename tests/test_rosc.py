@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import edgecache.rosc
 from edgecache.gradient_pgd import offline_pgd
 from edgecache.model import (ArrivalTrace, CostModel, indicator_path,
                              total_cost_F)
 from edgecache.rosc import RoscConfig, fractional_trace, run_rosc
-from edgecache.sampler import read_ensemble_frames, rng_stream
+from edgecache.sampler import rng_stream
 from edgecache.validate import online_pgd_reference
 from edgecache.workloads import PredictionOracle
 
@@ -120,13 +121,19 @@ def test_theorem_gamma_policy():
         RoscConfig(cost=cost, W=2, K=10, gamma_policy="theorem")
 
 
-def test_ensemble_dump(tmp_path):
+def test_ensemble_frames_match_quantized_trace(monkeypatch):
+    frames = []
+    update = edgecache.rosc.update_ensemble
+
+    def recording_update(*args):
+        ensemble = update(*args)
+        frames.append(ensemble.S.copy())
+        return ensemble
+
+    monkeypatch.setattr(edgecache.rosc, "update_ensemble", recording_update)
     trace = _instance(seed=8, n=5, T=12)
     cost = _cost(5, M=2)
-    cfg = RoscConfig(cost=cost, W=2, K=8, seed=4)
-    path = tmp_path / "run.bits"
-    rec = run_rosc(trace, cfg, dump_path=path)
-    frames = read_ensemble_frames(path, K=8, N=5)
+    rec = run_rosc(trace, RoscConfig(cost=cost, W=2, K=8, seed=4))
     assert len(frames) == trace.T
     frac = fractional_trace(rec)
     for t, frame in enumerate(frames):

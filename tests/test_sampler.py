@@ -3,8 +3,7 @@ import pytest
 
 from edgecache.projection import project_bounded_simplex
 from edgecache.sampler import (SamplePathEnsemble, decision_at,
-                               expected_switching, pack_ensemble,
-                               quantize_probs, read_ensemble_frames,
+                               expected_switching, quantize_probs,
                                rng_stream, update_ensemble)
 
 
@@ -159,19 +158,3 @@ def test_update_rejects_unquantized_targets():
     with pytest.raises(ValueError):
         update_ensemble(ens, np.array([0.3, 0.1]), rng_stream(0, "x"))
 
-
-def test_ensemble_dump_roundtrip(tmp_path):
-    rng = rng_stream(6, "test:dump")
-    ens = SamplePathEnsemble.initial(K=5, N=13, M=4, k_star=0)
-    frames = []
-    blob = b""
-    for _ in range(4):
-        p = project_bounded_simplex(rng.uniform(-0.4, 1.4, 13), 4)
-        ens = update_ensemble(ens, quantize_probs(p, 5), rng)
-        frames.append(ens.S.copy())
-        blob += pack_ensemble(ens.S)
-    path = tmp_path / "ens.bits"
-    path.write_bytes(blob)
-    back = read_ensemble_frames(path, K=5, N=13)
-    assert len(back) == 4
-    assert all(np.array_equal(x, y) for x, y in zip(frames, back))
