@@ -81,7 +81,7 @@ def cmd_generate(args, parser) -> int:
         if getattr(args, flag) is not None:
             params[name] = getattr(args, flag)
     if args.model == "sqrt-churn":
-        params.setdefault("M", args.M[0] if args.M else 10)
+        params["M"] = args.M[0] if args.M else params.get("M", 10)
     try:
         if args.groups is not None:
             params["groups"] = json.loads(args.groups)
@@ -129,7 +129,6 @@ def cmd_run(args, parser) -> int:
         parser.error(str(exc))
 
     rec.seed = seed
-    rec.path_length = path_length(trace, M)
     rec.write_csv(out / f"{args.policy}.csv")
     rec.write_json(out / f"{args.policy}.json")
     write_effective_config(out, {

@@ -189,14 +189,9 @@ def top_m_indicator(lambda_row, M: int) -> np.ndarray:
     if M > lam.size:
         raise ValueError(f"M={M} exceeds the number of services {lam.size}")
     # Stable sort on the negated row: equal counts keep index order.
-    order = np.argsort(-lam, kind="stable")
+    top = np.argsort(-lam, kind="stable")[:M]
     theta = np.zeros(lam.size, dtype=np.int8)
-    picked = 0
-    for idx in order:
-        if picked == M or lam[idx] <= 0:
-            break
-        theta[idx] = 1
-        picked += 1
+    theta[top[lam[top] > 0]] = 1
     return theta
 
 
@@ -305,8 +300,6 @@ class RunRecord:
     runtime_ms: float
     seed: int | None = None
     config: dict = field(default_factory=dict)
-    regret: float | None = None
-    path_length: float | None = None
     extras: dict = field(default_factory=dict)
 
     @property

@@ -2,58 +2,26 @@
 
 ``project_bounded_simplex`` maps any z in R^N onto
 ``D = {p in [0,1]^N : sum(p) <= M}`` in O(N log N); given a (B, N) array it
-projects each row.  Both forms clamp if the clamp is feasible.  Otherwise the
-answer is clip(z - tau, 0, 1) for the unique tau > 0 at which the clipped sum
-equals M, and tau is found on the sorted row, shifted to its maximum so that
-huge magnitudes cannot overflow the prefix sums:
-
-* a single vector binary-searches the count of coordinates pinned at 1,
-  solving a plain simplex projection for the tail at each probe;
-* a batch walks each row's merged breakpoints z and z - 1 in one vectorized
-  pass to the segment where the clipped sum crosses M, and solves that
-  segment's linear equation for tau.
+projects each row, and a single vector is projected as a one-row batch.
+Rows whose clamp is feasible keep it.  Otherwise the answer is
+clip(z - tau, 0, 1) for the unique tau > 0 at which the clipped sum equals
+M.  Each such row's merged breakpoints z and z - 1, shifted to the row's
+maximum so that huge magnitudes cannot overflow the prefix sums, are walked
+in one vectorized pass to the segment where the clipped sum crosses M, and
+tau solves that segment's linear equation.
 
 Non-finite input raises ``ValueError``.
 
 ``project_bounded_simplex_oracle`` solves the same problem by exhaustively
 enumerating sorted active-set partitions of the KKT system.  It is
-deliberately independent of the fast paths and exists only to validate them.
+deliberately independent of the fast path and exists only to validate it.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import DimensionError
-
-
-def _tail_threshold(css: np.ndarray, zs: np.ndarray, i: int, M: int) -> float:
-    """Simplex-projection threshold for the tail starting at i with budget
-    M - i, using the shared cumulative sum of the sorted vector.
-
-    The tail's own threshold rule reads, for tail position j (1-based),
-    (sum of its first j entries - budget) / j < tail_j; the largest such j
-    gives tau.  The qualifying set is a prefix of positions (and j = 1
-    always qualifies), so the cut is found by an inner binary search with
-    O(1) evaluations.  Because the tail is pinned at exactly 1 only above
-    tau + 1, the caller's overflow test reduces to zs[i] - tau >= 1.
-    """
-    base = css[i - 1] if i > 0 else 0.0
-    budget = float(M - i)
-
-    def qualifies(j: int) -> bool:
-        return (css[i + j - 1] - base - budget) / j < zs[i + j - 1]
-
-    lo, hi = 1, zs.size - i
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if qualifies(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return (css[i + lo - 1] - base - budget) / lo
 
 
 def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
@@ -78,59 +46,7 @@ def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
         raise ValueError("out takes a (B, N) result and must not share memory with z")
     if z.ndim == 2:
         return _project_rows(z, M, out)
-
-    zp = np.maximum(z, 0.0)
-    clamped = np.minimum(zp, 1.0)
-    if clamped.sum() <= M:
-        return clamped
-
-    # Capacity is active: binary-search, over a descending sorted copy, the
-    # count of coordinates pinned at 1; each probe solves the tail's plain
-    # simplex projection for its threshold.  Coordinates are taken relative
-    # to the maximum m (tau below is tau - m), which keeps the prefix sums
-    # finite.  The rejected clamp buffer is recycled to keep the hot path
-    # allocation-light.
-    zs = np.negative(zp, out=clamped)
-    zs.sort()
-    m = -zs[0]
-    np.subtract(-m, zs, out=zs)                    # zp - m, descending
-    css = np.cumsum(zs)
-
-    lo, hi = 0, M
-    pinned = tau = None
-    for _ in range(int(math.ceil(math.log2(max(M, 1)))) + 2):
-        mid = (lo + hi) // 2
-        t_mid = None if mid == M else _tail_threshold(css, zs, mid, M)
-        # no slack here: pinning a coordinate that sits just below the cap
-        # would move the tail's threshold, and that coordinate, by up to 2x
-        # the slack
-        overflow = mid < M and zs[mid] - t_mid >= 1.0
-        if mid == lo:
-            if overflow:
-                pinned = hi
-                tau = None if hi == M else _tail_threshold(css, zs, hi, M)
-            else:
-                pinned, tau = mid, t_mid
-            break
-        if overflow:
-            lo = mid
-        else:
-            hi = mid
-    if pinned is None:
-        raise RuntimeError("binary search over the pinned count did not terminate")
-
-    # At the optimum the pinned coordinates sit at or above tau + 1 and the
-    # rest strictly below, so the per-coordinate solution needs no
-    # un-permutation: y = clip(z - tau, 0, 1).
-    if tau is None:
-        # every cached unit pinned (i* = M, zero tail); any multiplier in
-        # the KKT gap works, the largest zeroed value is always inside it
-        tau = zs[pinned]
-    np.subtract(zp, m, out=zp)
-    np.subtract(zp, float(tau), out=zp)
-    np.maximum(zp, 0.0, out=zp)
-    np.minimum(zp, 1.0, out=zp)
-    return zp
+    return _project_rows(z[None, :], M)[0]
 
 
 def _project_rows(z: np.ndarray, M: int, out=None) -> np.ndarray:

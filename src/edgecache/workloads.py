@@ -188,8 +188,6 @@ class PredictionOracle:
         self.R = float(R)
         self.seed = int(seed)
         self._rows: dict[int, np.ndarray] = {}
-        self._padded: np.ndarray | None = None
-        self._pad = 0
 
     def _noise(self, s: int) -> np.ndarray:
         row = self._rows.get(s)
@@ -226,26 +224,14 @@ class PredictionOracle:
             raise ValueError(f"service index {n} outside [0, {self.trace.N})")
         return float(self.predict_row(t, tau)[n])
 
-    def _padded_view(self, tau: int, W: int) -> np.ndarray:
-        if self._padded is None or self._pad < W:
-            pad = max(W, 32)
-            padded = np.zeros((self.trace.T + 2 * pad, self.trace.N))
-            padded[pad: pad + self.trace.T] = self.trace.lam
-            padded.setflags(write=False)
-            self._padded, self._pad = padded, pad
-        start = self._pad + tau - 1
-        return self._padded[start: start + W]
-
     def predict_window(self, tau: int, W: int) -> np.ndarray:
-        """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau.
-        Noise-free forecasts are zero-copy views of the true trace."""
-        if self.R == 0.0:
-            return self._padded_view(tau, W)
+        """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau."""
         out = np.zeros((W, self.trace.N))
         walk = np.zeros(self.trace.N)
         for i in range(W):
             t = tau + i
-            walk += self._noise(t)
+            if self.R != 0.0:
+                walk += self._noise(t)
             lam = self.trace.slot(t)
             if 1 <= t <= self.trace.T:
                 out[i] = np.maximum(lam * (1.0 + self.R * walk), 0.0)

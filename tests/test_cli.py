@@ -30,6 +30,19 @@ def test_generate_sqrt_churn_runs_on_default_size(tmp_path, capsys):
     assert "T=30, N=1000" in capsys.readouterr().out
 
 
+def test_generate_sqrt_churn_m_flag_overrides_params_file(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"N": 12, "T": 40, "M": 3}))
+    out = tmp_path / "t.csv"
+    assert main(["generate", "--model", "sqrt-churn", "--params", str(params),
+                 "--M", "2", "--out", str(out)]) == 0
+    assert "path length at M=2" in capsys.readouterr().out
+    assert json.loads(out.with_suffix(".json").read_text())["params"]["M"] == 2
+    assert main(["generate", "--model", "sqrt-churn", "--params", str(params),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["params"]["M"] == 3
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--model", "replacement", "--N", "10", "--num-ranks", "20"], "num_ranks=20"),
     (["--model", "poisson", "--groups", "[[0, 1]]"], "lifetimes must be positive"),

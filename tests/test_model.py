@@ -95,6 +95,13 @@ def test_top_m_indicator_cardinality(values, m):
     theta = top_m_indicator(lam, m)
     positives = int((lam > 0).sum())
     assert theta.sum() == min(m, positives)
+    # reference: walk the stable descending order, stop at M or at zero demand
+    ref = np.zeros(lam.size, dtype=np.int8)
+    for idx in np.argsort(-lam, kind="stable")[:m]:
+        if lam[idx] <= 0:
+            break
+        ref[idx] = 1
+    assert theta.dtype == ref.dtype and np.array_equal(theta, ref)
 
 
 def test_path_length_examples():

@@ -108,6 +108,13 @@ def test_predict_exact_when_noise_free():
         np.testing.assert_array_equal(oracle.predict_row(t, 1), tr.lam[t - 1])
     assert oracle.predict(3, 31, 5) == 0.0  # beyond the horizon
     assert oracle.predict(3, 0, -2) == 0.0  # before the start
+    win = oracle.predict_window(-1, 35)
+    assert win.shape == (35, 12)
+    np.testing.assert_array_equal(win[2:32], tr.lam)
+    assert not win[:2].any() and not win[32:].any()
+    late = oracle.predict_window(40, 33)  # wholly past the horizon
+    assert late.shape == (33, 12) and not late.any()
+    assert oracle._rows == {}  # an exact oracle draws no noise
 
 
 def test_predict_consistency_and_clamping():
