@@ -6,7 +6,7 @@
 import numpy as np
 
 from edgecache import (ArrivalTrace, CostModel, RoscConfig, exact_opt_dp,
-                       path_length, regret, regret_bound, run_rosc)
+                       path_length, regret, regret_bound, run_rosc, theorem_cost)
 
 rng = np.random.default_rng(1)
 
@@ -23,20 +23,19 @@ for t in range(T):
 trace = ArrivalTrace(lam=lam)
 
 H_T = path_length(trace, M)
-cost = CostModel.uniform(0.05, 2.0, n, M)
+# the step size Theorem 1 assumes: gamma = sqrt(H_T / T), eta = gamma / (12 b*)
+cost = theorem_cost(CostModel.uniform(0.05, 2.0, n, M), H_T, T)
 opt = exact_opt_dp(trace, cost)
 print(f"instance: N={n}, M={M}, T={T}, measured path length H_T={H_T}")
 print(f"exact dynamic optimum: {opt.total_cost:.2f}")
 
 W, K, seeds = 3, 20, 200
-cfg = lambda s: RoscConfig(cost=cost, W=W, K=K, seed=s, gamma_policy="theorem",
-                           path_length_hint=H_T, horizon_hint=T)
-costs = [run_rosc(trace, cfg(s)).total_cost for s in range(seeds)]
+costs = [run_rosc(trace, RoscConfig(cost=cost, W=W, K=K, seed=s)).total_cost
+         for s in range(seeds)]
 avg_regret = regret(float(np.mean(costs)), opt.total_cost)
 print(f"mean cost over {seeds} seeds: {np.mean(costs):.2f}"
       f"  -> regret {avg_regret:.2f}")
 
-ceiling = regret_bound(cfg(0).effective_cost(), n, T, trace.max_slot_total(),
-                       K, W, H_T)
+ceiling = regret_bound(cost, n, T, trace.max_slot_total(), K, W, H_T)
 print(f"theoretical ceiling: {ceiling:.1f}  (measured/ceiling ="
       f" {avg_regret / ceiling:.4f})")

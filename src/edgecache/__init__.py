@@ -14,6 +14,6 @@ from .baselines import (InstanceTooLargeError, chc_policy, exact_opt_dp,
 from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
                         SqrtChurnParams, gen_poisson, gen_replacement,
                         gen_sqrt_churn)
-from .bench import ExperimentSpec, regret, regret_bound, run_experiment
+from .bench import ExperimentSpec, regret, regret_bound, run_experiment, theorem_cost
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 
 import numpy as np
 
@@ -77,20 +78,27 @@ def solve_rhc_window(lam_hat: np.ndarray, x_prev: np.ndarray,
     return plan
 
 
+def _horizon_plans(trace: ArrivalTrace, cost: CostModel, W: int,
+                   predictions: PredictionOracle | None):
+    """Yield slot t's window plan for t = 1 .. T, each solved from the
+    first row of the plan before it (the RHC path)."""
+    x_prev = np.zeros(trace.N)
+    for t in range(1, trace.T + 1):
+        plan = solve_rhc_window(_predicted_window(trace, predictions, t, W),
+                                x_prev, cost)
+        yield plan
+        x_prev = plan[0].astype(float)
+
+
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
     """Receding horizon control: re-plan every slot, commit only the first."""
     if W < 1:
         raise ValueError("RHC needs a window of at least one slot")
-    T, N = trace.T, trace.N
-    decisions = np.zeros((T, N), dtype=np.int8)
-    x_prev = np.zeros(N)
+    decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
-    for t in range(1, T + 1):
-        lam_hat = _predicted_window(trace, predictions, t, W)
-        plan = solve_rhc_window(lam_hat, x_prev, cost)
-        decisions[t - 1] = plan[0]
-        x_prev = plan[0].astype(float)
+    for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
+        decisions[t] = plan[0]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("rhc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "rhc"})
@@ -102,18 +110,14 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
     last W window plans' entries for slot t, costed fractionally."""
     if W < 1:
         raise ValueError("CHC needs a window of at least one slot")
-    T, N = trace.T, trace.N
-    decisions = np.zeros((T, N))
-    plans: list[np.ndarray] = []                    # plans[s - 1] = window plan made at s
-    x_prev = np.zeros(N)
+    decisions = np.zeros((trace.T, trace.N))
+    plans: deque = deque(maxlen=W)                  # oldest first; the last was made at t
     t0 = time.perf_counter()
-    for t in range(1, T + 1):
-        lam_hat = _predicted_window(trace, predictions, t, W)
-        plan = solve_rhc_window(lam_hat, x_prev, cost)
+    for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
         plans.append(plan)
-        x_prev = plan[0].astype(float)              # condition solves on the RHC path
-        votes = [plans[s - 1][t - s] for s in range(max(1, t - W + 1), t + 1)]
-        decisions[t - 1] = np.mean(votes, axis=0)
+        # the plan made k slots before t holds slot t in its row k
+        votes = [p[len(plans) - 1 - i] for i, p in enumerate(plans)]
+        decisions[t] = np.mean(votes, axis=0)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("chc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "chc"})

@@ -3,8 +3,8 @@ multi-seed sweeps, and CSV/JSON reporting.
 
 A sweep varies one axis (cost ratio, capacity M, window W, or noise weight
 R) while every policy sees the same per-seed trace.  Outputs per report
-directory: ``summary.json``, ``costs_<axis>.csv``, ``runtimes.csv`` and
-``effective_config.json``.
+directory: ``summary.json``, ``costs_<axis>.csv`` and ``runtimes.csv``;
+the CLI adds the ``effective_config.json`` that replays the sweep.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,16 @@ def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
             "total": tracking + rounding + churn}
 
 
+def theorem_cost(cost: CostModel, H_T: float, T: int) -> CostModel:
+    """``cost`` at the step size the ceiling assumes: gamma = sqrt(H_T / T),
+    and eta left to ``CostModel``'s default gamma / (12 b*)."""
+    gamma = math.sqrt(H_T / T)
+    if not (0 < gamma < 1):
+        raise ValueError(f"theorem mode gives gamma={gamma:.4g} outside (0, 1); "
+                         "needs 0 < H_T < T")
+    return replace(cost, gamma=gamma, eta=None)
+
+
 # ---------------------------------------------------------------------------
 # Sweep harness
 # ---------------------------------------------------------------------------
@@ -86,7 +96,6 @@ class ExperimentSpec:
     axis: str = "W"
     values: list = field(default_factory=lambda: [10])
     base: dict = field(default_factory=lambda: dict(PAPER_DEFAULTS))
-    noisy_baselines: bool = False       # horizon-control policies default to exact forecasts
     measure_runtime: bool = False       # discard one warm run before timing
     jobs: int = 1
 
@@ -148,16 +157,15 @@ def call_policy(name: str, trace: ArrivalTrace, cost: CostModel, W: int, K: int,
                           oracle=oracle, W_big=W_big)
 
 
-def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
-               noisy_baselines: bool = False) -> RunRecord:
-    """Dispatch one policy run under the given sweep settings."""
+def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> RunRecord:
+    """Dispatch one policy run under the given sweep settings; only
+    ``rosc`` sees noisy forecasts."""
     alpha = settings["alpha"]
     cost = CostModel.uniform(alpha, settings["ratio"] * alpha, trace.N,
                              int(settings["M"]), gamma=settings["gamma"])
     return call_policy(name, trace, cost, W=int(settings["W"]),
                        K=int(settings["K"]), seed=seed,
-                       R=float(settings.get("R", 0.0)),
-                       noisy_baselines=noisy_baselines)
+                       R=float(settings.get("R", 0.0)))
 
 
 def _run_point(task: dict) -> dict:
@@ -166,10 +174,8 @@ def _run_point(task: dict) -> dict:
     settings = task["settings"]
     t_start = time.perf_counter()
     if task["measure_runtime"]:
-        run_policy(task["policy"], trace, settings, task["seed"],
-                   task["noisy_baselines"])  # warm run, discarded
-    rec = run_policy(task["policy"], trace, settings, task["seed"],
-                     task["noisy_baselines"])
+        run_policy(task["policy"], trace, settings, task["seed"])  # warm run, discarded
+    rec = run_policy(task["policy"], trace, settings, task["seed"])
     return {
         "axis_value": task["axis_value"],
         "seed": task["seed"],
@@ -199,7 +205,6 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
                     "settings": settings,
                     "axis_value": value,
                     "measure_runtime": spec.measure_runtime,
-                    "noisy_baselines": spec.noisy_baselines,
                 })
 
     cells, failures = [], []
@@ -284,7 +289,3 @@ def _write_report(spec: ExperimentSpec, report: dict, out: Path) -> None:
                 stats = point["policies"].get(p)
                 cols.append("" if stats is None else repr(stats["runtime_ms_mean"]))
             fh.write(",".join(cols) + "\n")
-    config = {"spec": asdict(spec)}
-    with open(out / "effective_config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -7,8 +7,10 @@ suites), ``bound`` (theoretical regret ceiling).
 Exit codes: 0 success, 2 usage error, 3 infeasible instance,
 4 validation failure.
 
-Configuration precedence is file < flags: values from ``--config`` JSON are
-used only where the flag was not given explicitly.
+Configuration precedence is defaults < file < flags.  A ``--config`` JSON
+object stands for the flags its keys name, parsed ahead of the command
+line; ``run`` and ``sweep`` write their resolved settings to
+``effective_config.json``, which replays through ``--config``.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from pathlib import Path
 from . import bench, validate
 from .baselines import InstanceTooLargeError
 from .model import CostModel, load_trace, path_length, save_trace
-from .rosc import write_effective_config
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
@@ -39,24 +39,38 @@ def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    """``bench.PAPER_DEFAULTS`` with every explicitly given flag laid over it."""
-    return {key: default if getattr(args, key) is None else getattr(args, key)
-            for key, default in bench.PAPER_DEFAULTS.items()}
+def _spell(value) -> str:
+    """A config value as its flag would spell it: a list of numbers or
+    strings comma-joined, any other non-string as JSON."""
+    if isinstance(value, list) and all(isinstance(v, (int, float, str)) for v in value):
+        return ",".join(map(str, value))
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from --config JSON; flags always win."""
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config) as fh:
-        file_cfg = json.load(fh)
-    for key, value in file_cfg.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            parser.error(f"unknown key '{key}' in config file")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list:
+    """The flags a --config JSON object stands for: key ``k`` is ``--k`` with
+    dashes for underscores; true is a bare switch, false or null nothing."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(doc, dict):
+        parser.error(f"--config {path}: expected a JSON object")
+    flags = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if value is not None and value is not False:
+            flags.append(flag if value is True else f"{flag}={_spell(value)}")
+    return flags
+
+
+def write_effective_config(out_dir, config: dict) -> None:
+    """Drop the resolved settings next to a command's outputs, keyed as
+    ``--config`` reads them, so that the file replays the command."""
+    with open(Path(out_dir) / "effective_config.json", "w") as fh:
+        json.dump(config, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +84,6 @@ GENERATE_FLAGS = {"N": "N", "T": "T", "U": "U", "zipf": "zipf_exponent",
 
 
 def cmd_generate(args, parser) -> int:
-    _merge_config(args, parser)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     params = {"N": 1000, "T": 10_000}
@@ -103,39 +116,32 @@ def cmd_generate(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args, parser) -> int:
-    _merge_config(args, parser)
-    if args.trace is None:
-        parser.error("--trace is required")
+    if args.policy is None or args.trace is None:
+        parser.error("--policy and --trace are required")
     trace = load_trace(args.trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    settings = _settings(args)
-    alpha, M, gamma, W, K, R = (settings[k] for k in
-                                ("alpha", "M", "gamma", "W", "K", "R"))
-    beta_star = (args.beta_star if args.beta_star is not None
-                 else alpha * settings["ratio"])
-    seed = args.seed if args.seed is not None else 0
-    W_big = args.W_big if args.W_big is not None else 300
-
+    if args.beta_star is None:
+        args.beta_star = args.alpha * args.ratio
     try:
-        cost = CostModel.uniform(alpha, beta_star, trace.N, M, gamma=gamma)
-        rec = bench.call_policy(args.policy, trace, cost, W=W, K=K, seed=seed,
-                                R=R, noisy_baselines=True, W_big=W_big)
+        cost = CostModel.uniform(args.alpha, args.beta_star, trace.N, args.M,
+                                 gamma=args.gamma)
+        rec = bench.call_policy(args.policy, trace, cost, W=args.W, K=args.K,
+                                seed=args.seed, R=args.R, noisy_baselines=True,
+                                W_big=args.W_big)
     except InstanceTooLargeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         parser.error(str(exc))
 
-    rec.seed = seed
+    rec.seed = args.seed
     rec.write_csv(out / f"{args.policy}.csv")
     rec.write_json(out / f"{args.policy}.json")
-    write_effective_config(out, {
-        "command": "run", "policy": args.policy, "trace": str(args.trace),
-        "alpha": alpha, "beta_star": beta_star, "M": M, "gamma": gamma,
-        "W": W, "K": K, "seed": seed, "R": R, "W_big": W_big,
-    })
+    write_effective_config(out, {key: getattr(args, key) for key in (
+        "policy", "trace", "alpha", "beta_star", "M", "gamma", "W", "K", "seed",
+        "R", "W_big")})
     print(f"{args.policy}: total_cost={rec.total_cost:.6g} "
           f"runtime_ms={rec.runtime_ms:.3f}")
     return EXIT_OK
@@ -146,34 +152,31 @@ def cmd_run(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args, parser) -> int:
-    _merge_config(args, parser)
-    if args.spec:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
-        spec = bench.ExperimentSpec(**doc)
-    else:
-        if args.seeds is None or args.seeds <= 0:
-            parser.error("--seeds must be a positive count")
-        base = _settings(args)
-        values = _float_list(args.values) if args.values else [base[args.axis]]
-        if args.axis in ("M", "W"):
-            values = [int(v) for v in values]
-        workload_params = {"N": args.N or 100, "T": args.T or 2000}
-        if args.workload == "replacement" and args.U is not None:
-            workload_params["U"] = args.U
-        spec = bench.ExperimentSpec(
-            workload=args.workload,
-            workload_params=workload_params,
-            seeds=[args.seed_base + i for i in range(args.seeds)],
-            policies=args.policies.split(",") if args.policies else
-                     ["rosc", "rhc", "chc", "sopt"],
-            axis=args.axis,
-            values=values,
-            base=base,
-            measure_runtime=args.measure_runtime,
-            jobs=args.jobs,
-        )
+    if args.seeds is None or args.seeds <= 0:
+        parser.error("--seeds must be a positive count")
+    base = {key: getattr(args, key) for key in bench.PAPER_DEFAULTS}
+    values = args.values or [base[args.axis]]
+    if args.axis in ("M", "W"):
+        values = [int(v) for v in values]
+    workload_params = {"N": args.N, "T": args.T}
+    if args.workload == "replacement" and args.U is not None:
+        workload_params["U"] = args.U
+    spec = bench.ExperimentSpec(
+        workload=args.workload,
+        workload_params=workload_params,
+        seeds=[args.seed_base + i for i in range(args.seeds)],
+        policies=args.policies.split(","),
+        axis=args.axis,
+        values=values,
+        base=base,
+        measure_runtime=args.measure_runtime,
+        jobs=args.jobs,
+    )
     report = bench.run_experiment(spec, args.out)
+    write_effective_config(args.out, dict(
+        base, workload=args.workload, axis=args.axis, values=values, seeds=args.seeds,
+        seed_base=args.seed_base, policies=spec.policies, N=args.N, T=args.T, U=args.U,
+        measure_runtime=args.measure_runtime, jobs=args.jobs))
     failed = len(report["failures"])
     print(f"sweep over {spec.axis}={spec.values}: "
           f"{len(report['points'])} points, {failed} failures -> {args.out}")
@@ -228,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online service caching policies, workloads and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic trace CSV + sidecar")
+    # no abbreviated flags, so a --config key must name its flag in full
+    g = sub.add_parser("generate", help="write a synthetic trace CSV + sidecar",
+                       allow_abbrev=False)
     g.add_argument("--model", choices=("replacement", "poisson", "sqrt-churn"),
                    required=True)
     g.add_argument("--N", type=int)
@@ -247,13 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="trace.csv")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("run", help="run one policy on one trace")
-    r.add_argument("--policy", choices=POLICIES, required=True)
+    r = sub.add_parser("run", help="run one policy on one trace", allow_abbrev=False)
+    r.add_argument("--policy", choices=POLICIES)
     r.add_argument("--trace")
     r.add_argument("--W", type=int)
     r.add_argument("--K", type=int)
-    r.add_argument("--W-big", type=int, dest="W_big", help="pseudo-opt sweeps (300)")
-    r.add_argument("--seed", type=int)
+    r.add_argument("--W-big", type=int, dest="W_big", default=300,
+                   help="pseudo-opt sweeps (300)")
+    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--alpha", type=float)
     r.add_argument("--beta-star", type=float, dest="beta_star")
     r.add_argument("--ratio", type=float, help="beta_star / alpha")
@@ -262,19 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--R", type=float, help="forecast noise weight")
     r.add_argument("--config", help="JSON config file (flags win)")
     r.add_argument("--out", default="run_out")
-    r.set_defaults(func=cmd_run)
+    r.set_defaults(func=cmd_run, **bench.PAPER_DEFAULTS)
 
-    s = sub.add_parser("sweep", help="multi-seed sweep over one axis")
-    s.add_argument("--spec", help="JSON ExperimentSpec document")
+    s = sub.add_parser("sweep", help="multi-seed sweep over one axis",
+                       allow_abbrev=False)
     s.add_argument("--workload", choices=("replacement", "poisson", "sqrt_churn"),
                    default="replacement")
     s.add_argument("--axis", choices=bench.SWEEP_AXES, default="W")
-    s.add_argument("--values", help="comma list of axis values")
+    s.add_argument("--values", type=_float_list, help="comma list of axis values")
     s.add_argument("--seeds", type=int, help="number of seeds")
     s.add_argument("--seed-base", type=int, default=0, dest="seed_base")
-    s.add_argument("--policies", help="comma list; default rosc,rhc,chc,sopt")
-    s.add_argument("--N", type=int)
-    s.add_argument("--T", type=int)
+    s.add_argument("--policies", default="rosc,rhc,chc,sopt", help="comma list")
+    s.add_argument("--N", type=int, default=100)
+    s.add_argument("--T", type=int, default=2000)
     s.add_argument("--U", type=int)
     s.add_argument("--alpha", type=float)
     s.add_argument("--ratio", type=float)
@@ -287,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--config", help="JSON config file (flags win)")
     s.add_argument("--out", default="sweep_out")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, **bench.PAPER_DEFAULTS)
 
     v = sub.add_parser("validate", help="randomized oracle suites")
     v.add_argument("--checks", help="comma list: projection,lemma1,sampler,theorem1")
@@ -316,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # the file's flags go right after the subcommand, so given flags win
+        flags = _config_flags(args.config, parser)
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
     return args.func(args, parser)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ArrivalTrace, CostModel, DimensionError, indicator_path
+from .model import ArrivalTrace, CostModel, DimensionError, top_m_indicator
 from .projection import project_bounded_simplex
 
 
@@ -109,7 +109,7 @@ def offline_pgd(trace: ArrivalTrace, cost: CostModel, iterations: int) -> np.nda
     matrix of final probability vectors."""
     T, N = trace.T, trace.N
     Q = np.zeros((T + 1, N))
-    Q[2:] = indicator_path(trace, cost.M)[:-1]
+    Q[2:] = top_m_indicator(trace.lam[:-1], cost.M)
     pressure = cost.alpha * trace.lam
     buffers = sweep_buffers(T, N)
     for _ in range(iterations):

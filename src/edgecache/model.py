@@ -179,30 +179,28 @@ def running_total(forward, switch) -> float:
     return float(np.cumsum(forward + switch)[-1])
 
 
-def top_m_indicator(lambda_row, M: int) -> np.ndarray:
-    """0/1 vector marking the M most-requested services of one slot.
+def top_m_indicator(lam, M: int) -> np.ndarray:
+    """0/1 marks of the M most-requested services of one slot, or of every
+    row of a (T, N) matrix.
 
     Ties break toward the lower service index.  Services with zero demand
     are never marked, so fewer than M entries may be set.
     """
-    lam = _as_vector(lambda_row, "lambda_row")
-    if M > lam.size:
-        raise ValueError(f"M={M} exceeds the number of services {lam.size}")
-    # Stable sort on the negated row: equal counts keep index order.
-    top = np.argsort(-lam, kind="stable")[:M]
-    theta = np.zeros(lam.size, dtype=np.int8)
-    theta[top[lam[top] > 0]] = 1
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2):
+        raise DimensionError(f"lam must be a vector or a T x N matrix, got {lam.shape}")
+    if M > lam.shape[-1]:
+        raise ValueError(f"M={M} exceeds the number of services {lam.shape[-1]}")
+    # Stable sort on the negated rows: equal counts keep index order.
+    top = np.argsort(-lam, axis=-1, kind="stable")[..., :M]
+    theta = np.zeros(lam.shape, dtype=np.int8)
+    np.put_along_axis(theta, top, np.take_along_axis(lam, top, axis=-1) > 0, axis=-1)
     return theta
-
-
-def indicator_path(trace: ArrivalTrace, M: int) -> np.ndarray:
-    """(T, N) matrix of per-slot top-M indicators."""
-    return np.stack([top_m_indicator(trace.lam[t], M) for t in range(trace.T)])
 
 
 def path_length(trace: ArrivalTrace, M: int) -> float:
     """Cumulative L1 churn of the top-M indicator, starting from empty."""
-    theta = indicator_path(trace, M)
+    theta = top_m_indicator(trace.lam, M)
     return float(np.abs(np.diff(theta, axis=0, prepend=0)).sum())
 
 

@@ -16,9 +16,8 @@ Decisions are always charged against the true arrivals, never forecasts.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,56 +31,32 @@ from .workloads import PredictionOracle
 
 @dataclass
 class RoscConfig:
-    """Knobs of one policy run.
-
-    gamma_policy "fixed" uses ``cost.gamma`` / ``cost.eta`` as given;
-    "theorem" re-derives gamma = sqrt(H_T / T) and eta = gamma / (12 b*)
-    from the supplied path-length and horizon hints.
-    """
+    """Knobs of one policy run: the cost model (its ``gamma`` and ``eta``
+    are used as given; ``bench.theorem_cost`` sets them as Theorem 1
+    does), the forecast window W, the K sample paths and the seed."""
 
     cost: CostModel
     W: int = 10
     K: int = 100
     seed: int = 0
-    gamma_policy: str = "fixed"
-    path_length_hint: float | None = None
-    horizon_hint: int | None = None
 
     def __post_init__(self):
         if self.W < 0:
             raise ValueError("prediction window W must be nonnegative")
         if self.K < 1:
             raise ValueError("K must be a positive integer")
-        if self.gamma_policy not in ("fixed", "theorem"):
-            raise ValueError("gamma_policy must be 'fixed' or 'theorem'")
-        if self.gamma_policy == "theorem" and (
-                self.path_length_hint is None or self.horizon_hint is None):
-            raise ValueError("theorem mode needs path_length_hint and horizon_hint")
-
-    def effective_cost(self) -> CostModel:
-        if self.gamma_policy == "fixed":
-            return self.cost
-        gamma = float(np.sqrt(self.path_length_hint / self.horizon_hint))
-        if not (0 < gamma < 1):
-            raise ValueError(
-                f"theorem mode gives gamma={gamma:.4g} outside (0, 1); "
-                "needs 0 < H_T < T")
-        return replace(self.cost, gamma=gamma,
-                       eta=gamma / (12.0 * self.cost.beta_star))
 
     def as_dict(self) -> dict:
-        cost = self.effective_cost()
         return {
             "policy": "rosc",
-            "alpha": cost.alpha,
-            "beta_star": cost.beta_star,
-            "M": cost.M,
-            "gamma": cost.gamma,
-            "eta": cost.eta,
+            "alpha": self.cost.alpha,
+            "beta_star": self.cost.beta_star,
+            "M": self.cost.M,
+            "gamma": self.cost.gamma,
+            "eta": self.cost.eta,
             "W": self.W,
             "K": self.K,
             "seed": self.seed,
-            "gamma_policy": self.gamma_policy,
         }
 
 
@@ -94,7 +69,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     (``fractional``), the followed path, and the ensemble-average insertion
     count.
     """
-    cost = config.effective_cost()
+    cost = config.cost
     T, N, W, K = trace.T, trace.N, config.W, config.K
     if cost.n_services != N:
         raise ValueError("cost model width differs from the trace")
@@ -116,8 +91,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     Q = np.zeros((T + 1, N))  # row t: slot t; row 0: the empty slot 0
     lookahead = (predictions.predict_lead(W - 1) if W > 0
                  else predictions.trace.lam)
-    for t in range(2, T + 1):
-        Q[t] = top_m_indicator(lookahead[t - 2], cost.M)
+    Q[2:] = top_m_indicator(lookahead[:-1], cost.M)
     pressure = np.empty((T, N))
     buffers = sweep_buffers(T, N)
     for lead in range(W - 1, -1, -1):
@@ -158,9 +132,3 @@ def fractional_trace(record: RunRecord) -> np.ndarray:
         raise ValueError(f"record for policy '{record.policy}' has no fractional trace")
     return record.extras["fractional"]
 
-
-def write_effective_config(out_dir, config: dict) -> None:
-    """Drop the fully resolved configuration next to a run's outputs."""
-    with open(f"{out_dir}/effective_config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,11 +17,15 @@ from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .rosc import RoscConfig, fractional_trace, run_rosc
 from .sampler import (SamplePathEnsemble, expected_switching, quantize_probs,
                       rng_stream, update_ensemble)
-from .bench import regret_bound
+from .bench import regret_bound, theorem_cost
 from .workloads import PredictionOracle
 
+PROJECTION_TOL = 1e-9   # fast projection vs. the KKT oracle, per entry
+PARITY_TOL = 1e-9       # run_rosc vs. the step-by-step replay, per entry
+INSERTION_SLACK = 1.05  # seed-averaged insertions may exceed 3x motion by 5%
 
-def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> dict:
+
+def check_projection(cases: int = 10_000, seed: int = 0) -> dict:
     """Fast projection vs. exhaustive KKT oracle on random Gaussian inputs,
     one vector at a time and again as batches of the cases sharing (n, M),
     plus idempotence and non-expansiveness spot checks."""
@@ -37,7 +41,7 @@ def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> d
         exact = project_bounded_simplex_oracle(z, M)
         err = float(np.max(np.abs(fast - exact)))
         worst = max(worst, err)
-        if err > tol:
+        if err > PROJECTION_TOL:
             mismatches += 1
         inputs, answers = groups.setdefault((n, M), ([], []))
         inputs.append(z)
@@ -46,7 +50,7 @@ def check_projection(cases: int = 10_000, seed: int = 0, tol: float = 1e-9) -> d
     for (n, M), (inputs, answers) in groups.items():
         rows = project_bounded_simplex(np.array(inputs), M)
         errs = np.max(np.abs(rows - np.array(answers)), axis=1)
-        batch_mismatches += int(np.count_nonzero(errs > tol))
+        batch_mismatches += int(np.count_nonzero(errs > PROJECTION_TOL))
     idem_worst = 0.0
     nonexp_violations = 0
     for _ in range(min(cases, 2000)):
@@ -105,7 +109,7 @@ def online_pgd_reference(trace: ArrivalTrace, cost: CostModel, W: int,
     return P[1:]
 
 
-def check_window_parity(instances: int = 50, seed: int = 0, tol: float = 1e-9) -> dict:
+def check_window_parity(instances: int = 50, seed: int = 0) -> dict:
     """Lemma 1: the pre-rounding trace of ``run_rosc`` must equal the
     step-by-step online replay elementwise, on exact and on noisy (R = 0.3)
     forecasts; on exact ones W offline full-horizon sweeps must too."""
@@ -126,14 +130,14 @@ def check_window_parity(instances: int = 50, seed: int = 0, tol: float = 1e-9) -
                 offline = offline_pgd(trace, cost, W)
                 err = max(err, float(np.max(np.abs(offline - reference))))
         worst = max(worst, err)
-        if err > tol:
+        if err > PARITY_TOL:
             failures += 1
     return {"pass": failures == 0, "cases": instances,
             "failures": failures, "worst_error": worst}
 
 
 def check_sampler(updates: int = 1000, seed: int = 0,
-                  bound_seeds: int = 100, slack: float = 1.05) -> dict:
+                  bound_seeds: int = 100) -> dict:
     """Ensemble invariants over random feasible targets, plus the insertion
     bound: seed-averaged insertions <= 3 * total positive quantized motion."""
     rng = rng_stream(seed, "validate:sampler")
@@ -178,7 +182,7 @@ def check_sampler(updates: int = 1000, seed: int = 0,
             frames.append(ens)
         totals.append(expected_switching(frames))
     mean_insertions = float(np.mean(totals))
-    bound = 3.0 * motion * slack
+    bound = 3.0 * motion * INSERTION_SLACK
     ok = bad_marginal == 0 and bad_capacity == 0 and mean_insertions <= bound
     return {"pass": ok, "cases": updates, "bad_marginal": bad_marginal,
             "bad_capacity": bad_capacity, "mean_insertions": mean_insertions,
@@ -216,20 +220,14 @@ def check_regret_ceiling(instances: int = 20, seeds: int = 100,
         H_T = path_length(trace, M)
         if not (0 < H_T < trace.T):
             continue
-        cost = CostModel.uniform(0.05, 2.0, trace.N, M)
+        cost = theorem_cost(CostModel.uniform(0.05, 2.0, trace.N, M), H_T, trace.T)
         W = int(rng.integers(1, 6))
         K = int(rng.choice([10, 20, 50]))
         opt = baselines.exact_opt_dp(trace, cost)
-        cfg_cost = None
-        totals = []
-        for s in range(seeds):
-            cfg = RoscConfig(cost=cost, W=W, K=K, seed=s,
-                             gamma_policy="theorem",
-                             path_length_hint=H_T, horizon_hint=trace.T)
-            cfg_cost = cfg.effective_cost()
-            totals.append(run_rosc(trace, cfg).total_cost)
+        totals = [run_rosc(trace, RoscConfig(cost=cost, W=W, K=K, seed=s)).total_cost
+                  for s in range(seeds)]
         reg = float(np.mean(totals)) - opt.total_cost
-        bound = regret_bound(cfg_cost, trace.N, trace.T,
+        bound = regret_bound(cost, trace.N, trace.T,
                              trace.max_slot_total(), K, W, H_T)
         margins.append(bound - reg)
         if reg > bound:
@@ -241,9 +239,9 @@ def check_regret_ceiling(instances: int = 20, seeds: int = 100,
 
 # suite -> (function, the keyword arguments it takes)
 CHECKS = {
-    "projection": (check_projection, ("cases", "seed", "tol")),
-    "lemma1": (check_window_parity, ("instances", "seed", "tol")),
-    "sampler": (check_sampler, ("updates", "seed", "bound_seeds", "slack")),
+    "projection": (check_projection, ("cases", "seed")),
+    "lemma1": (check_window_parity, ("instances", "seed")),
+    "sampler": (check_sampler, ("updates", "seed", "bound_seeds")),
     "theorem1": (check_regret_ceiling, ("instances", "seeds", "seed")),
 }
 

@@ -6,7 +6,7 @@ import pytest
 from edgecache.baselines import (InstanceTooLargeError, chc_policy,
                                  exact_opt_dp, pseudo_opt, rhc_policy,
                                  solve_rhc_window, sopt_policy)
-from edgecache.model import (ArrivalTrace, CostModel, indicator_path,
+from edgecache.model import (ArrivalTrace, CostModel, top_m_indicator,
                              total_cost_F)
 from edgecache.rosc import RoscConfig, run_rosc
 from edgecache.sampler import rng_stream
@@ -99,7 +99,7 @@ def test_rhc_w1_tiny_beta_tracks_top_m():
     trace = ArrivalTrace(lam=lam)
     cost = _cost(5, beta=1e-9, M=2)
     rec = rhc_policy(trace, cost, W=1)
-    np.testing.assert_array_equal(rec.decisions, indicator_path(trace, 2))
+    np.testing.assert_array_equal(rec.decisions, top_m_indicator(trace.lam, 2))
 
 
 def test_chc_w1_equals_rhc():
@@ -179,7 +179,7 @@ def test_exact_dp_tiny_beta_caches_top_m_every_slot():
     trace = ArrivalTrace(lam=lam)
     cost = _cost(5, beta=1e-9, M=2)
     rec = exact_opt_dp(trace, cost)
-    theta = indicator_path(trace, 2)
+    theta = top_m_indicator(trace.lam, 2)
     per_slot_topm_forward = 0.05 * (trace.lam * (1 - theta)).sum()
     assert rec.total_cost == pytest.approx(per_slot_topm_forward, abs=1e-5)
 

@@ -1,12 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret,
                              regret_bound, regret_bound_terms, run_experiment,
-                             run_policy, make_trace)
-from edgecache.model import CostModel
+                             run_policy, make_trace, theorem_cost)
+from edgecache.model import ArrivalTrace, CostModel
+from edgecache.rosc import RoscConfig, run_rosc
 
 
 def test_regret_examples():
@@ -64,6 +66,17 @@ def test_regret_bound_monotone_in_w_and_k():
         regret_bound(cost, 40, 2000, 150.0, 50, 0, 60.0)
 
 
+def test_theorem_cost():
+    trace = ArrivalTrace(lam=np.arange(120.0).reshape(20, 6) % 7)
+    cost = theorem_cost(CostModel.uniform(0.05, 8.0, trace.N, 2), 6.0, trace.T)
+    assert cost.gamma == pytest.approx(np.sqrt(6.0 / trace.T))
+    assert cost.eta == pytest.approx(cost.gamma / (12 * 8.0))
+    rec = run_rosc(trace, RoscConfig(cost=cost, W=2, K=10, seed=0))
+    assert rec.config["gamma"] == pytest.approx(cost.gamma)
+    with pytest.raises(ValueError):
+        theorem_cost(cost, 0.0, trace.T)
+
+
 def _tiny_spec(tmp_path, **kw):
     base = dict(PAPER_DEFAULTS)
     base.update({"M": 2, "W": 2, "K": 5})
@@ -89,8 +102,7 @@ def test_run_experiment_single_cell_self_consistent(tmp_path):
     rec = run_policy("rosc", trace, dict(spec.base, W=2), 0)
     assert stats["total_cost_mean"] == pytest.approx(rec.total_cost)
     assert stats["cost_per_slot_mean"] == pytest.approx(rec.total_cost / trace.T)
-    for name in ("summary.json", "costs_W.csv", "runtimes.csv",
-                 "effective_config.json"):
+    for name in ("summary.json", "costs_W.csv", "runtimes.csv"):
         assert (tmp_path / "rep" / name).exists()
     doc = json.loads((tmp_path / "rep" / "summary.json").read_text())
     assert doc["ok"] is True

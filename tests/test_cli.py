@@ -210,6 +210,92 @@ def test_config_file_flag_precedence(tmp_path):
     assert eff["seed"] == 3
 
 
+def test_generate_config_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"M": 3, "N": 12, "T": 40}))
+    by_file, by_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["generate", "--model", "sqrt-churn", "--config", str(cfg),
+                 "--out", str(by_file)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["generate", "--model", "sqrt-churn", "--M", "3", "--N", "12",
+                 "--T", "40", "--out", str(by_flag)]) == 0
+    assert "path length at M=3" in from_file
+    assert from_file.split("(")[1] == capsys.readouterr().out.split("(")[1]
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    assert json.loads(by_file.with_suffix(".json").read_text())["params"]["M"] == 3
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"W": "two"}, "W"),
+    ({"K": 2.5}, "K"),
+    ({"policy": "magic"}, "policy"),
+    ({"command": "run"}, "command"),
+    ({"alph": 0.1}, "alph"),
+], ids=["not-an-int", "float-for-int", "not-a-choice", "unknown-key",
+        "abbreviated-key"])
+def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys, doc, key):
+    trace = _make_trace(tmp_path)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "rosc", "--trace", str(trace),
+              "--config", str(cfg), "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert f"--{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]", "{not json"],
+                         ids=["missing", "not-an-object", "not-json"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--seeds", "1", "--config", str(cfg),
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_sweep_config_takes_value_lists(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"values": [1, 2], "policies": ["rosc", "sopt"],
+                               "measure_runtime": True, "seeds": 2}))
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    small = ["--N", "12", "--T", "12", "--M", "2", "--K", "5"]
+    assert main(["sweep", "--config", str(cfg), *small, "--out", str(by_file)]) == 0
+    assert main(["sweep", "--values", "1,2", "--policies", "rosc,sopt",
+                 "--seeds", "2", *small, "--out", str(by_flag)]) == 0
+    assert (by_file / "costs_W.csv").read_bytes() == \
+        (by_flag / "costs_W.csv").read_bytes()
+    assert json.loads((by_file / "effective_config.json").read_text())["measure_runtime"]
+
+
+def test_sweep_replays_from_its_effective_config(tmp_path):
+    first, again = tmp_path / "s1", tmp_path / "s2"
+    assert main(["sweep", "--workload", "replacement", "--N", "12", "--T", "12",
+                 "--U", "40", "--axis", "M", "--values", "1,3", "--seeds", "2",
+                 "--seed-base", "4", "--policies", "rosc,rhc", "--K", "5",
+                 "--R", "0.2", "--out", str(first)]) == 0
+    config = first / "effective_config.json"
+    assert main(["sweep", "--config", str(config), "--out", str(again)]) == 0
+    assert (first / "costs_M.csv").read_bytes() == (again / "costs_M.csv").read_bytes()
+    assert config.read_bytes() == (again / "effective_config.json").read_bytes()
+    doc = json.loads(config.read_text())
+    assert doc["values"] == [1, 3] and doc["seed_base"] == 4 and doc["U"] == 40
+
+
+def test_run_replays_from_its_effective_config_alone(tmp_path):
+    trace = _make_trace(tmp_path)
+    first, again = tmp_path / "r1", tmp_path / "r2"
+    assert main(["run", "--policy", "chc", "--trace", str(trace), "--M", "2",
+                 "--W", "3", "--R", "0.2", "--seed", "5", "--out", str(first)]) == 0
+    config = first / "effective_config.json"
+    assert main(["run", "--config", str(config), "--out", str(again)]) == 0
+    assert (first / "chc.csv").read_bytes() == (again / "chc.csv").read_bytes()
+    assert config.read_bytes() == (again / "effective_config.json").read_bytes()
+
+
 def test_sweep_smoke_and_table_shape(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", "--workload", "replacement", "--N", "12", "--T", "12",

@@ -3,7 +3,7 @@ import pytest
 
 from edgecache.gradient_pgd import (aux_cost, aux_cost_total, g_vec, offline_pgd,
                                     pgd_window_update, sweep_buffers)
-from edgecache.model import ArrivalTrace, CostModel, DimensionError, indicator_path
+from edgecache.model import ArrivalTrace, CostModel, DimensionError, top_m_indicator
 from edgecache.projection import project_bounded_simplex
 from edgecache.sampler import rng_stream
 from edgecache.workloads import (PoissonParams, ReplacementParams, SqrtChurnParams,
@@ -151,8 +151,7 @@ def test_offline_pgd_zero_iterations_is_shifted_indicator():
     trace = ArrivalTrace(lam=lam)
     c = _cost(4, M=2)
     out = offline_pgd(trace, c, 0)
-    from edgecache.model import indicator_path
-    theta = indicator_path(trace, 2).astype(float)
+    theta = top_m_indicator(trace.lam, 2).astype(float)
     np.testing.assert_allclose(out[0], np.zeros(4))
     np.testing.assert_allclose(out[1:], theta[:-1])
 
@@ -184,7 +183,7 @@ def _offline_pgd_rowwise(trace, cost, iterations):
     """Reference sweep: the synchronous offline PGD projecting one slot at a
     time, with separate backward and forward derivative evaluations."""
     T, N = trace.T, trace.N
-    theta = indicator_path(trace, cost.M).astype(float)
+    theta = top_m_indicator(trace.lam, cost.M).astype(float)
     Q = np.zeros((T + 1, N))
     Q[2:] = theta[:-1]
     for _ in range(iterations):

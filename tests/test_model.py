@@ -86,6 +86,17 @@ def test_top_m_indicator_examples():
     assert top_m_indicator([0, 0, 4], 2).tolist() == [0, 0, 1]  # zero demand excluded
 
 
+def test_top_m_indicator_marks_every_row_of_a_matrix():
+    lam = np.array([[5, 9, 2, 7], [3, 3, 1, 0], [0, 0, 4, 0], [0, 0, 0, 0]])
+    theta = top_m_indicator(lam, 2)
+    assert theta.dtype == np.int8
+    assert theta.tolist() == [[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    with pytest.raises(DimensionError):
+        top_m_indicator(np.zeros((2, 2, 2)), 1)
+    with pytest.raises(ValueError):
+        top_m_indicator(lam, 5)
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=16),
        st.integers(min_value=1, max_value=16))
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 
 import edgecache.rosc
 from edgecache.gradient_pgd import offline_pgd
-from edgecache.model import (ArrivalTrace, CostModel, indicator_path,
+from edgecache.model import (ArrivalTrace, CostModel, top_m_indicator,
                              total_cost_F)
 from edgecache.rosc import RoscConfig, fractional_trace, run_rosc
 from edgecache.sampler import rng_stream
@@ -25,7 +25,7 @@ def test_w0_is_follow_the_leader_on_yesterdays_top_m():
     trace = _instance(seed=1)
     cost = _cost(trace.N)
     rec = run_rosc(trace, RoscConfig(cost=cost, W=0, K=10, seed=3))
-    theta = indicator_path(trace, cost.M)
+    theta = top_m_indicator(trace.lam, cost.M)
     frac = fractional_trace(rec)
     np.testing.assert_allclose(frac[0], np.zeros(trace.N))
     np.testing.assert_allclose(frac[1:], theta[:-1])
@@ -104,23 +104,6 @@ def test_noisy_fractional_trace_matches_step_by_step_replay(W):
     np.testing.assert_allclose(fractional_trace(rec), reference, rtol=0, atol=1e-12)
 
 
-def test_theorem_gamma_policy():
-    trace = _instance(seed=7)
-    cost = _cost(trace.N, beta=8.0)
-    cfg = RoscConfig(cost=cost, W=2, K=10, seed=0, gamma_policy="theorem",
-                     path_length_hint=6.0, horizon_hint=trace.T)
-    eff = cfg.effective_cost()
-    assert eff.gamma == pytest.approx(np.sqrt(6.0 / trace.T))
-    assert eff.eta == pytest.approx(eff.gamma / (12 * 8.0))
-    rec = run_rosc(trace, cfg)
-    assert rec.config["gamma"] == pytest.approx(eff.gamma)
-    with pytest.raises(ValueError):
-        RoscConfig(cost=cost, W=2, K=10, gamma_policy="theorem",
-                   path_length_hint=0.0, horizon_hint=trace.T).effective_cost()
-    with pytest.raises(ValueError):
-        RoscConfig(cost=cost, W=2, K=10, gamma_policy="theorem")
-
-
 def test_ensemble_frames_match_quantized_trace(monkeypatch):
     frames = []
     update = edgecache.rosc.update_ensemble
@@ -149,5 +132,3 @@ def test_config_validation():
         RoscConfig(cost=cost, W=-1, K=10)
     with pytest.raises(ValueError):
         RoscConfig(cost=cost, W=1, K=0)
-    with pytest.raises(ValueError):
-        RoscConfig(cost=cost, W=1, K=10, gamma_policy="adaptive")
