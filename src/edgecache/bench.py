@@ -13,6 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -106,28 +107,28 @@ class ExperimentSpec:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
         if not self.values:
             raise ValueError("at least one sweep value is required")
+        if self.axis in ("M", "W"):
+            if not all(float(v).is_integer() for v in self.values):
+                raise ValueError(f"{self.axis} values must be whole numbers")
+            self.values = [int(v) for v in self.values]
+        unknown = [p for p in self.policies if p not in POLICIES]
+        if unknown:
+            raise ValueError(f"unknown policies {unknown}; available: {sorted(POLICIES)}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 def make_trace(workload: str, params: dict, seed: int) -> ArrivalTrace:
     if workload == "replacement":
         return gen_replacement(ReplacementParams(**params), seed)
     if workload == "poisson":
-        p = dict(params)
-        if "groups" in p:
-            p["groups"] = tuple(tuple(g) for g in p["groups"])
-        return gen_poisson(PoissonParams(**p), seed)
+        return gen_poisson(PoissonParams(**params), seed)
     if workload == "sqrt_churn":
         return gen_sqrt_churn(SqrtChurnParams(**params), seed)
     raise ValueError(f"unknown workload '{workload}'")
 
 
-def _settings_for(base: dict, axis: str, value) -> dict:
-    s = dict(base)
-    s[axis] = value
-    return s
-
-
-# name -> call; each takes the keyword arguments ``call_policy`` passes and
+# name -> call; each takes the keyword arguments ``run_policy`` passes and
 # ignores those it has no use for.  ``oracle`` is None for exact forecasts.
 POLICIES = {
     "rosc": lambda trace, cost, W, K, seed, oracle, **_: run_rosc(
@@ -143,43 +144,40 @@ POLICIES = {
 }
 
 
-def call_policy(name: str, trace: ArrivalTrace, cost: CostModel, W: int, K: int,
-                seed: int, R: float = 0.0, noisy_baselines: bool = False,
-                W_big: int = 300) -> RunRecord:
-    """Run the named policy.  ``rosc`` sees forecasts with noise weight R;
-    the other policies see them only with ``noisy_baselines``, and exact
-    arrivals otherwise."""
+def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
+               noisy_baselines: bool = False) -> RunRecord:
+    """Run the named policy under ``settings``: ``alpha``, ``ratio``, ``M``,
+    ``W``, ``K``, ``gamma`` and ``R`` (0 when absent), plus ``beta_star``
+    (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
+    (default 300).  ``rosc`` sees forecasts with noise weight R; the other
+    policies see them only with ``noisy_baselines``, and exact arrivals
+    otherwise."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
+    alpha = settings["alpha"]
+    beta_star = settings.get("beta_star", settings["ratio"] * alpha)
+    cost = CostModel.uniform(alpha, beta_star, trace.N, int(settings["M"]),
+                             gamma=settings["gamma"])
+    R = float(settings.get("R", 0.0))
     noisy = R > 0 and (name == "rosc" or noisy_baselines)
     oracle = PredictionOracle(trace, R=R, seed=seed) if noisy else None
-    return POLICIES[name](trace=trace, cost=cost, W=W, K=K, seed=seed,
-                          oracle=oracle, W_big=W_big)
+    return POLICIES[name](trace=trace, cost=cost, W=int(settings["W"]),
+                          K=int(settings["K"]), seed=seed, oracle=oracle,
+                          W_big=settings.get("W_big", 300))
 
 
-def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> RunRecord:
-    """Dispatch one policy run under the given sweep settings; only
-    ``rosc`` sees noisy forecasts."""
-    alpha = settings["alpha"]
-    cost = CostModel.uniform(alpha, settings["ratio"] * alpha, trace.N,
-                             int(settings["M"]), gamma=settings["gamma"])
-    return call_policy(name, trace, cost, W=int(settings["W"]),
-                       K=int(settings["K"]), seed=seed,
-                       R=float(settings.get("R", 0.0)))
-
-
-def _run_point(task: dict) -> dict:
+def _run_point(spec: ExperimentSpec, value, seed: int, policy: str) -> dict:
     """Worker body: one (axis value, seed, policy) cell; returns plain data."""
-    trace = make_trace(task["workload"], task["workload_params"], task["seed"])
-    settings = task["settings"]
+    trace = make_trace(spec.workload, spec.workload_params, seed)
+    settings = dict(spec.base, **{spec.axis: value})
     t_start = time.perf_counter()
-    if task["measure_runtime"]:
-        run_policy(task["policy"], trace, settings, task["seed"])  # warm run, discarded
-    rec = run_policy(task["policy"], trace, settings, task["seed"])
+    if spec.measure_runtime:
+        run_policy(policy, trace, settings, seed)  # warm run, discarded
+    rec = run_policy(policy, trace, settings, seed)
     return {
-        "axis_value": task["axis_value"],
-        "seed": task["seed"],
-        "policy": task["policy"],
+        "axis_value": value,
+        "seed": seed,
+        "policy": policy,
         "total_cost": rec.total_cost,
         "cost_per_slot": rec.total_cost / trace.T,
         "runtime_ms": rec.runtime_ms,
@@ -192,29 +190,11 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Execute the sweep, write the report files, return the report dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for value in spec.values:
-        settings = _settings_for(spec.base, spec.axis, value)
-        for seed in spec.seeds:
-            for policy in spec.policies:
-                tasks.append({
-                    "workload": spec.workload,
-                    "workload_params": spec.workload_params,
-                    "seed": seed,
-                    "policy": policy,
-                    "settings": settings,
-                    "axis_value": value,
-                    "measure_runtime": spec.measure_runtime,
-                })
-
+    tasks = [(spec, value, seed, policy) for value in spec.values
+             for seed in spec.seeds for policy in spec.policies]
     cells, failures = [], []
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            for task, outcome in zip(tasks, pool.map(_run_point_safe, tasks)):
-                (cells if "error" not in outcome else failures).append(outcome)
-    else:
-        for task in tasks:
-            outcome = _run_point_safe(task)
+    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else nullcontext() as pool:
+        for outcome in (pool.map if pool else map)(_run_point_safe, tasks):
             (cells if "error" not in outcome else failures).append(outcome)
 
     report = _aggregate(spec, cells, failures)
@@ -222,12 +202,13 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return report
 
 
-def _run_point_safe(task: dict) -> dict:
+def _run_point_safe(task: tuple) -> dict:
     try:
-        return _run_point(task)
+        return _run_point(*task)
     except Exception as exc:  # noqa: BLE001 - sweep points fail independently
-        return {"axis_value": task["axis_value"], "seed": task["seed"],
-                "policy": task["policy"], "error": f"{type(exc).__name__}: {exc}"}
+        _, value, seed, policy = task
+        return {"axis_value": value, "seed": seed, "policy": policy,
+                "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _aggregate(spec: ExperimentSpec, cells: list, failures: list) -> dict:

@@ -7,9 +7,13 @@ suites), ``bound`` (theoretical regret ceiling).
 Exit codes: 0 success, 2 usage error, 3 infeasible instance,
 4 validation failure.
 
+Each subcommand's parser is the one description of its settings: ``run``
+and ``sweep`` share the paper preset flags, and each ``generate`` flag has
+the generator field it sets as its ``dest``.
+
 Configuration precedence is defaults < file < flags.  A ``--config`` JSON
 object stands for the flags its keys name, parsed ahead of the command
-line; ``run`` and ``sweep`` write their resolved settings to
+line; ``run`` and ``sweep`` write their parsed settings to
 ``effective_config.json``, which replays through ``--config``.
 """
 
@@ -27,8 +31,6 @@ from .model import CostModel, load_trace, path_length, save_trace
 EXIT_OK = 0
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
-
-POLICIES = tuple(bench.POLICIES)
 
 
 def _int_list(text: str) -> list:
@@ -65,11 +67,18 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list:
     return flags
 
 
-def write_effective_config(out_dir, config: dict) -> None:
+def _settings(args) -> dict:
+    """The parsed flags that are settings, keyed by their ``dest``: all but
+    the subcommand's name and function, ``--config`` and ``--out``."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "config", "out")}
+
+
+def write_effective_config(out_dir, args) -> None:
     """Drop the resolved settings next to a command's outputs, keyed as
     ``--config`` reads them, so that the file replays the command."""
     with open(Path(out_dir) / "effective_config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+        json.dump(_settings(args), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -77,27 +86,17 @@ def write_effective_config(out_dir, config: dict) -> None:
 # generate
 # ---------------------------------------------------------------------------
 
-# generate flag -> generator parameter; a parameter the model does not take
-# makes its generator raise TypeError, which is a usage error
-GENERATE_FLAGS = {"N": "N", "T": "T", "U": "U", "zipf": "zipf_exponent",
-                  "lifetime_mean": "rank_lifetime_mean", "num_ranks": "num_ranks"}
-
-
 def cmd_generate(args, parser) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # every setting given but --model, --seed and --M is a generator parameter
+    # named by its dest; one the model does not take makes it raise TypeError
     params = {"N": 1000, "T": 10_000}
-    if args.params:
-        with open(args.params) as fh:
-            params.update(json.load(fh))
-    for flag, name in GENERATE_FLAGS.items():
-        if getattr(args, flag) is not None:
-            params[name] = getattr(args, flag)
+    params.update((key, value) for key, value in _settings(args).items()
+                  if value is not None and key not in ("model", "seed", "M"))
     if args.model == "sqrt-churn":
-        params["M"] = args.M[0] if args.M else params.get("M", 10)
+        params["M"] = args.M[0] if args.M else 10
     try:
-        if args.groups is not None:
-            params["groups"] = json.loads(args.groups)
         trace = bench.make_trace(args.model.replace("-", "_"), params, args.seed)
     except (TypeError, ValueError) as exc:
         parser.error(f"--model {args.model}: {exc}")
@@ -125,11 +124,8 @@ def cmd_run(args, parser) -> int:
     if args.beta_star is None:
         args.beta_star = args.alpha * args.ratio
     try:
-        cost = CostModel.uniform(args.alpha, args.beta_star, trace.N, args.M,
-                                 gamma=args.gamma)
-        rec = bench.call_policy(args.policy, trace, cost, W=args.W, K=args.K,
-                                seed=args.seed, R=args.R, noisy_baselines=True,
-                                W_big=args.W_big)
+        rec = bench.run_policy(args.policy, trace, vars(args), args.seed,
+                               noisy_baselines=True)
     except InstanceTooLargeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -139,9 +135,7 @@ def cmd_run(args, parser) -> int:
     rec.seed = args.seed
     rec.write_csv(out / f"{args.policy}.csv")
     rec.write_json(out / f"{args.policy}.json")
-    write_effective_config(out, {key: getattr(args, key) for key in (
-        "policy", "trace", "alpha", "beta_star", "M", "gamma", "W", "K", "seed",
-        "R", "W_big")})
+    write_effective_config(out, args)
     print(f"{args.policy}: total_cost={rec.total_cost:.6g} "
           f"runtime_ms={rec.runtime_ms:.3f}")
     return EXIT_OK
@@ -152,31 +146,33 @@ def cmd_run(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args, parser) -> int:
-    if args.seeds is None or args.seeds <= 0:
-        parser.error("--seeds must be a positive count")
     base = {key: getattr(args, key) for key in bench.PAPER_DEFAULTS}
-    values = args.values or [base[args.axis]]
-    if args.axis in ("M", "W"):
-        values = [int(v) for v in values]
     workload_params = {"N": args.N, "T": args.T}
-    if args.workload == "replacement" and args.U is not None:
+    if args.U is not None:
         workload_params["U"] = args.U
-    spec = bench.ExperimentSpec(
-        workload=args.workload,
-        workload_params=workload_params,
-        seeds=[args.seed_base + i for i in range(args.seeds)],
-        policies=args.policies.split(","),
-        axis=args.axis,
-        values=values,
-        base=base,
-        measure_runtime=args.measure_runtime,
-        jobs=args.jobs,
-    )
+    if args.workload == "sqrt_churn":
+        workload_params["M"] = args.M
+    try:
+        spec = bench.ExperimentSpec(
+            workload=args.workload,
+            workload_params=workload_params,
+            seeds=[args.seed_base + i for i in range(args.seeds or 0)],
+            policies=args.policies.split(","),
+            axis=args.axis,
+            values=args.values or [base[args.axis]],
+            base=base,
+            measure_runtime=args.measure_runtime,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:  # a parameter the generator refuses fails here, before any cell runs
+        bench.make_trace(args.workload, workload_params, args.seed_base)
+    except (TypeError, ValueError) as exc:
+        parser.error(f"--workload {args.workload}: {exc}")
     report = bench.run_experiment(spec, args.out)
-    write_effective_config(args.out, dict(
-        base, workload=args.workload, axis=args.axis, values=values, seeds=args.seeds,
-        seed_base=args.seed_base, policies=spec.policies, N=args.N, T=args.T, U=args.U,
-        measure_runtime=args.measure_runtime, jobs=args.jobs))
+    args.values, args.policies = spec.values, spec.policies
+    write_effective_config(args.out, args)
     failed = len(report["failures"])
     print(f"sweep over {spec.axis}={spec.values}: "
           f"{len(report['points'])} points, {failed} failures -> {args.out}")
@@ -196,11 +192,8 @@ def cmd_validate(args, parser) -> int:
                                      seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    report["effective_config"] = {
-        "command": "validate", "checks": names or sorted(validate.CHECKS),
-        "cases": args.cases, "instances": args.instances,
-        "updates": args.updates, "runs": args.runs, "seed": args.seed,
-    }
+    report["effective_config"] = dict(_settings(args), command="validate",
+                                      checks=names or sorted(validate.CHECKS))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -231,47 +224,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online service caching policies, workloads and benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --config for generate, run and sweep; run and sweep add the paper preset
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file (flags win)")
+    preset = argparse.ArgumentParser(add_help=False, parents=[config])
+    preset.add_argument("--alpha", type=float)
+    preset.add_argument("--ratio", type=float, help="beta_star / alpha")
+    preset.add_argument("--M", type=int)
+    preset.add_argument("--W", type=int)
+    preset.add_argument("--K", type=int)
+    preset.add_argument("--gamma", type=float)
+    preset.add_argument("--R", type=float, help="forecast noise weight")
+    preset.set_defaults(**bench.PAPER_DEFAULTS)
+
     # no abbreviated flags, so a --config key must name its flag in full
     g = sub.add_parser("generate", help="write a synthetic trace CSV + sidecar",
-                       allow_abbrev=False)
+                       parents=[config], allow_abbrev=False)
     g.add_argument("--model", choices=("replacement", "poisson", "sqrt-churn"),
                    required=True)
     g.add_argument("--N", type=int)
     g.add_argument("--T", type=int)
     g.add_argument("--U", type=int)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--zipf", type=float, help="Zipf exponent (replacement)")
-    g.add_argument("--lifetime-mean", type=float, dest="lifetime_mean",
+    # each generator flag's dest is the generator parameter it sets
+    g.add_argument("--zipf", type=float, dest="zipf_exponent",
+                   help="Zipf exponent (replacement, sqrt-churn)")
+    g.add_argument("--lifetime-mean", type=float, dest="rank_lifetime_mean",
                    help="mean rank dwell time in slots (replacement)")
     g.add_argument("--num-ranks", type=int, dest="num_ranks")
-    g.add_argument("--groups", help="JSON [[lifetime, rate], ...] (poisson)")
-    g.add_argument("--params", help="JSON file of generator parameters")
+    g.add_argument("--groups", type=json.loads,
+                   help="JSON [[lifetime, rate], ...] (poisson)")
     g.add_argument("--M", type=_int_list, default=None,
                    help="comma list; print the trace path length for each")
-    g.add_argument("--config", help="JSON config file (flags win)")
     g.add_argument("--out", default="trace.csv")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("run", help="run one policy on one trace", allow_abbrev=False)
-    r.add_argument("--policy", choices=POLICIES)
+    r = sub.add_parser("run", help="run one policy on one trace", parents=[preset],
+                       allow_abbrev=False)
+    r.add_argument("--policy", choices=tuple(bench.POLICIES))
     r.add_argument("--trace")
-    r.add_argument("--W", type=int)
-    r.add_argument("--K", type=int)
     r.add_argument("--W-big", type=int, dest="W_big", default=300,
                    help="pseudo-opt sweeps (300)")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--alpha", type=float)
-    r.add_argument("--beta-star", type=float, dest="beta_star")
-    r.add_argument("--ratio", type=float, help="beta_star / alpha")
-    r.add_argument("--M", type=int)
-    r.add_argument("--gamma", type=float)
-    r.add_argument("--R", type=float, help="forecast noise weight")
-    r.add_argument("--config", help="JSON config file (flags win)")
+    r.add_argument("--beta-star", type=float, dest="beta_star",
+                   help="default: ratio * alpha")
     r.add_argument("--out", default="run_out")
-    r.set_defaults(func=cmd_run, **bench.PAPER_DEFAULTS)
+    r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("sweep", help="multi-seed sweep over one axis",
-                       allow_abbrev=False)
+                       parents=[preset], allow_abbrev=False)
     s.add_argument("--workload", choices=("replacement", "poisson", "sqrt_churn"),
                    default="replacement")
     s.add_argument("--axis", choices=bench.SWEEP_AXES, default="W")
@@ -282,18 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=int, default=100)
     s.add_argument("--T", type=int, default=2000)
     s.add_argument("--U", type=int)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--ratio", type=float)
-    s.add_argument("--M", type=int)
-    s.add_argument("--W", type=int)
-    s.add_argument("--K", type=int)
-    s.add_argument("--gamma", type=float)
-    s.add_argument("--R", type=float)
     s.add_argument("--measure-runtime", action="store_true", dest="measure_runtime")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--config", help="JSON config file (flags win)")
     s.add_argument("--out", default="sweep_out")
-    s.set_defaults(func=cmd_sweep, **bench.PAPER_DEFAULTS)
+    s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("validate", help="randomized oracle suites")
     v.add_argument("--checks", help="comma list: projection,lemma1,sampler,theorem1")

@@ -249,6 +249,9 @@ CHECKS = {
 def run_checks(names=None, **overrides) -> dict:
     """Run the named suites (all by default) and aggregate a report."""
     names = list(CHECKS) if not names else list(names)
+    for key in ("cases", "instances", "updates", "seeds"):
+        if overrides.get(key) is not None and overrides[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {overrides[key]}")
     report = {"checks": {}, "pass": True}
     for name in names:
         if name not in CHECKS:

@@ -135,6 +135,13 @@ def test_spec_validation():
         _tiny_spec(None, axis="Z")
     with pytest.raises(ValueError):
         _tiny_spec(None, values=[])
+    with pytest.raises(ValueError, match="whole numbers"):
+        _tiny_spec(None, axis="M", values=[2.5])
+    with pytest.raises(ValueError, match="magic"):
+        _tiny_spec(None, policies=["rosc", "magic"])
+    with pytest.raises(ValueError, match="jobs"):
+        _tiny_spec(None, jobs=0)
+    assert _tiny_spec(None, axis="W", values=[1.0, 3]).values == [1, 3]
 
 
 def test_noisy_rosc_with_exact_baselines(tmp_path):

@@ -34,11 +34,11 @@ def test_generate_sqrt_churn_m_flag_overrides_params_file(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"N": 12, "T": 40, "M": 3}))
     out = tmp_path / "t.csv"
-    assert main(["generate", "--model", "sqrt-churn", "--params", str(params),
+    assert main(["generate", "--model", "sqrt-churn", "--config", str(params),
                  "--M", "2", "--out", str(out)]) == 0
     assert "path length at M=2" in capsys.readouterr().out
     assert json.loads(out.with_suffix(".json").read_text())["params"]["M"] == 2
-    assert main(["generate", "--model", "sqrt-churn", "--params", str(params),
+    assert main(["generate", "--model", "sqrt-churn", "--config", str(params),
                  "--out", str(out)]) == 0
     assert json.loads(out.with_suffix(".json").read_text())["params"]["M"] == 3
 
@@ -316,6 +316,37 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--workload", "poisson", "--U", "5"], "--workload poisson"),
+    (["--workload", "sqrt_churn", "--M", "20"], "--workload sqrt_churn"),
+    (["--axis", "M", "--values", "2.5"], "whole numbers"),
+    (["--axis", "W", "--values", "1,nan"], "whole numbers"),
+    (["--policies", "rosc,magic"], "'magic'"),
+    (["--jobs", "0"], "jobs"),
+], ids=["U-on-poisson", "generator-refuses", "fractional-M", "nan-W",
+        "unknown-policy", "no-jobs"])
+def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--N", "12", "--T", "12", "--seeds", "1", *argv,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sqrt_churn_sweep_passes_M_and_U_to_its_generator(tmp_path):
+    argv = ["sweep", "--workload", "sqrt_churn", "--N", "20", "--T", "30",
+            "--M", "3", "--seeds", "2", "--policies", "rosc,sopt", "--K", "5"]
+    outs = {}
+    for U in ("50", "500"):
+        outs[U] = tmp_path / U
+        assert main(argv + ["--U", U, "--out", str(outs[U])]) == 0
+        assert json.loads((outs[U] / "summary.json").read_text())["failures"] == []
+    assert (outs["50"] / "costs_W.csv").read_bytes() != \
+        (outs["500"] / "costs_W.csv").read_bytes()
+
+
 def test_validate_small_suites(tmp_path):
     out = tmp_path / "report.json"
     code = main(["validate", "--checks", "projection,sampler", "--cases", "200",
@@ -324,6 +355,19 @@ def test_validate_small_suites(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["checks"]["projection"]["cases"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["--checks", "theorem1", "--instances", "0"],
+    ["--checks", "projection", "--cases", "-5"],
+    ["--checks", "sampler", "--updates", "0"],
+    ["--checks", "theorem1", "--runs", "0"],
+], ids=["instances", "cases", "updates", "runs"])
+def test_validate_zero_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *argv])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_validate_unknown_check_is_usage_error():
