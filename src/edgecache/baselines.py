@@ -38,74 +38,66 @@ def _predicted_window(trace: ArrivalTrace, predictions: PredictionOracle | None,
 
 
 def solve_rhc_window(lam_hat: np.ndarray, x_prev: np.ndarray,
-                     cost: CostModel, first_only: bool = False) -> np.ndarray:
+                     cost: CostModel) -> np.ndarray:
     """Capacity-repaired window plan; row i is the plan for window slot i.
 
     Per service: exact 0/1-state DP (forwarding while uncached, beta on a
     0 -> 1 flip, evictions free).  Then per window slot, keep at most M
-    cached services, ranked by each service's DP saving over never caching
-    (ties toward the lower index).  With ``first_only`` the plan is its first
-    row alone: each DP state then carries the first-slot state of its best
-    path in place of back pointers, and there is no backtrack.
+    cached services, ranked by each service's DP saving over never caching.
     """
     span, N = lam_hat.shape
     fwd = cost.alpha * lam_hat                      # forwarding cost per slot if uncached
     g0 = fwd[0].copy()
     g1 = np.where(x_prev > 0, 0.0, cost.beta)
-    first0, first1 = np.zeros(N, dtype=bool), np.ones(N, dtype=bool)
-    # stays[i, s]: the best path into state s at slot i was in s at slot i - 1
-    stays = None if first_only else np.empty((span, 2, N), dtype=bool)
+    back0 = np.zeros((span, N), dtype=np.int8)
+    back1 = np.ones((span, N), dtype=np.int8)
     for i in range(1, span):
         stay0 = g0 <= g1
-        enter = g0 + cost.beta
-        stay1 = g1 <= enter
-        g0, g1 = np.where(stay0, g0, g1) + fwd[i], np.where(stay1, g1, enter)
-        if first_only:
-            first0, first1 = (np.where(stay0, first0, first1),
-                              np.where(stay1, first1, first0))
-        else:
-            stays[i, 0], stays[i, 1] = stay0, stay1
+        new_g0 = np.where(stay0, g0, g1) + fwd[i]
+        stay1 = g1 <= g0 + cost.beta
+        new_g1 = np.where(stay1, g1, g0 + cost.beta)
+        back0[i] = np.where(stay0, 0, 1)
+        back1[i] = np.where(stay1, 1, 0)
+        g0, g1 = new_g0, new_g1
 
-    state = g1 < g0                                 # ties resolve to not caching
-    if first_only:
-        plan = np.where(state, first1, first0)[None].astype(np.int8)
-    else:
-        plan = np.empty((span, N), dtype=np.int8)
-        plan[span - 1] = state
-        for i in range(span - 1, 0, -1):
-            state = np.where(state, stays[i, 1], ~stays[i, 0])
-            plan[i - 1] = state
+    plan = np.zeros((span, N), dtype=np.int8)
+    state = (g1 < g0).astype(np.int8)               # ties resolve to not caching
+    plan[span - 1] = state
+    for i in range(span - 1, 0, -1):
+        state = np.where(state == 1, back1[i], back0[i]).astype(np.int8)
+        plan[i - 1] = state
 
     saving = fwd.sum(axis=0) - np.minimum(g0, g1)
-    for row in plan:
-        cached = np.flatnonzero(row)
+    priority = np.empty(N, dtype=np.int64)
+    priority[np.lexsort((np.arange(N), -saving))] = np.arange(N)
+    for i in range(span):
+        cached = np.flatnonzero(plan[i])
         if cached.size > cost.M:
-            row[cached[np.lexsort((cached, -saving[cached]))[cost.M:]]] = 0
+            drop = cached[np.argsort(priority[cached], kind="stable")[cost.M:]]
+            plan[i, drop] = 0
     return plan
 
 
 def _horizon_plans(trace: ArrivalTrace, cost: CostModel, W: int,
-                   predictions: PredictionOracle | None, first_only: bool = False):
+                   predictions: PredictionOracle | None):
     """Yield slot t's window plan for t = 1 .. T, each solved from the
     first row of the plan before it (the RHC path)."""
     x_prev = np.zeros(trace.N)
     for t in range(1, trace.T + 1):
         plan = solve_rhc_window(_predicted_window(trace, predictions, t, W),
-                                x_prev, cost, first_only)
+                                x_prev, cost)
         yield plan
         x_prev = plan[0].astype(float)
 
 
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
-    """Receding horizon control: re-plan every slot, commit only the first
-    row, so only that row is built and repaired."""
+    """Receding horizon control: re-plan every slot, commit only the first."""
     if W < 1:
         raise ValueError("RHC needs a window of at least one slot")
     decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
-    plans = _horizon_plans(trace, cost, W, predictions, first_only=True)
-    for t, plan in enumerate(plans):
+    for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
         decisions[t] = plan[0]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("rhc", trace, decisions, cost, runtime_ms,

@@ -192,23 +192,15 @@ def test_criterion_8_runtime_shape():
     trace = make_trace("replacement", {"N": 1000, "T": 100, "U": 200}, 0)
     windows = (1, 5, 10, 15, 20)
 
-    policies, reps = ("rosc", "rhc", "chc"), 5
+    def per_slot_ms(policy, w, reps=3):
+        run_policy(policy, trace, dict(base, W=w), 0)  # warm run, discarded
+        return float(np.median(
+            [run_policy(policy, trace, dict(base, W=w), 0).runtime_ms / trace.T
+             for _ in range(reps)]))
 
-    def slot_ms(policy, w):
-        return run_policy(policy, trace, dict(base, W=w), 0).runtime_ms / trace.T
-
-    for policy in policies:
-        for w in windows:
-            slot_ms(policy, w)  # warm run, discarded
-    # Round-robin over (W, policy) in every repetition, so a stretch of host
-    # load lands on one sample of many cells instead of on all of one cell.
-    samples = {(p, w): [] for p in policies for w in windows}
-    for _ in range(reps):
-        for w in windows:
-            for p in policies:
-                samples[p, w].append(slot_ms(p, w))
-    rosc, rhc, chc = ({w: float(np.median(samples[p, w])) for w in windows}
-                      for p in policies)
+    rosc = {w: per_slot_ms("rosc", w) for w in windows}
+    rhc = {w: per_slot_ms("rhc", w) for w in windows}
+    chc = {w: per_slot_ms("chc", w) for w in windows}
 
     ws = np.array(windows, dtype=float)
     y = np.array([rosc[w] for w in windows])
