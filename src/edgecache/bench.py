@@ -111,6 +111,9 @@ class ExperimentSpec:
             if not all(float(v).is_integer() for v in self.values):
                 raise ValueError(f"{self.axis} values must be whole numbers")
             self.values = [int(v) for v in self.values]
+        R_values = self.values if self.axis == "R" else [self.base.get("R", 0.0)]
+        if not all(v >= 0 for v in R_values):
+            raise ValueError("noise weight R must be nonnegative")
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; available: {sorted(POLICIES)}")
@@ -151,7 +154,7 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
     (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
     (default 300).  ``rosc`` sees forecasts with noise weight R; the other
     policies see them only with ``noisy_baselines``, and exact arrivals
-    otherwise."""
+    otherwise.  A negative R raises ``ValueError``."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
     alpha = settings["alpha"]
@@ -159,6 +162,8 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
     cost = CostModel.uniform(alpha, beta_star, trace.N, int(settings["M"]),
                              gamma=settings["gamma"])
     R = float(settings.get("R", 0.0))
+    if not R >= 0:
+        raise ValueError(f"noise weight R={R} must be nonnegative")
     noisy = R > 0 and (name == "rosc" or noisy_baselines)
     oracle = PredictionOracle(trace, R=R, seed=seed) if noisy else None
     return POLICIES[name](trace=trace, cost=cost, W=int(settings["W"]),

@@ -141,6 +141,8 @@ def test_spec_validation():
         _tiny_spec(None, policies=["rosc", "magic"])
     with pytest.raises(ValueError, match="jobs"):
         _tiny_spec(None, jobs=0)
+    with pytest.raises(ValueError, match="noise weight"):
+        _tiny_spec(None, axis="R", values=[0.0, -1.0])
     assert _tiny_spec(None, axis="W", values=[1.0, 3]).values == [1, 3]
 
 

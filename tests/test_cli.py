@@ -159,6 +159,16 @@ def test_run_rejects_capacity_above_services(tmp_path, capsys):
     assert "M=20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("R", ["-0.5", "nan"])
+def test_run_rejects_bad_noise_weight(tmp_path, capsys, R):
+    trace = _make_trace(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "rosc", "--trace", str(trace), "--M", "2",
+              "--R", R, "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "noise weight R" in capsys.readouterr().err
+
+
 def test_run_optdp_budget_refusal(tmp_path, capsys):
     trace = _make_trace(tmp_path)  # N = 12 exceeds the exact-DP budget
     code = main(["run", "--policy", "opt-dp", "--trace", str(trace),
@@ -323,8 +333,10 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     (["--axis", "W", "--values", "1,nan"], "whole numbers"),
     (["--policies", "rosc,magic"], "'magic'"),
     (["--jobs", "0"], "jobs"),
+    (["--axis", "R", "--values=-1,0"], "noise weight R"),
+    (["--R", "-0.5"], "noise weight R"),
 ], ids=["U-on-poisson", "generator-refuses", "fractional-M", "nan-W",
-        "unknown-policy", "no-jobs"])
+        "unknown-policy", "no-jobs", "negative-R-value", "negative-R-base"])
 def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, argv, message):
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
