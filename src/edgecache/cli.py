@@ -87,6 +87,8 @@ def write_effective_config(out_dir, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args, parser) -> int:
+    if args.model is None:
+        parser.error("--model is required (on the command line or in --config)")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # every setting given but --model, --seed and --M is a generator parameter
@@ -184,6 +186,9 @@ def cmd_sweep(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
+    for flag in ("cases", "instances", "updates", "runs"):
+        if getattr(args, flag) is not None and getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     names = args.checks.split(",") if args.checks else None
     try:
         report = validate.run_checks(names, cases=args.cases,
@@ -240,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviated flags, so a --config key must name its flag in full
     g = sub.add_parser("generate", help="write a synthetic trace CSV + sidecar",
                        parents=[config], allow_abbrev=False)
-    g.add_argument("--model", choices=("replacement", "poisson", "sqrt-churn"),
-                   required=True)
+    g.add_argument("--model", choices=("replacement", "poisson", "sqrt-churn"))
     g.add_argument("--N", type=int)
     g.add_argument("--T", type=int)
     g.add_argument("--U", type=int)

@@ -69,12 +69,13 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
                     rng: np.random.Generator) -> SamplePathEnsemble:
     """Advance the ensemble one slot so column means match ``p_quant``.
 
-    For each service whose quantized probability rose, the extra copies go
-    to uniformly chosen paths currently lacking it; drops are symmetric.
-    Paths left above capacity then hand a uniformly chosen surplus service
-    to a uniformly chosen deficit path until all rows fit.  All randomness
-    comes from ``rng``; overflow rows are processed lowest-index first so a
-    run is a pure function of its seed.
+    Each changed service flips on (or off) a uniformly chosen subset of the
+    paths lacking (or holding) it, drawn for all services at once as the
+    smallest of one uniform key per eligible cell.  Paths left above
+    capacity are then repaired in rounds: overfull paths, lowest index
+    first, are paired with distinct deficit paths in random order, and each
+    hands its partner a uniformly chosen service the partner lacks.  All
+    randomness comes from ``rng``, so a run is a pure function of its seed.
     """
     K, M = ensemble.K, ensemble.M
     raw = np.asarray(p_quant, dtype=float) * K
@@ -92,40 +93,47 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     # and sum in half the time of int64 ones
     current = S.sum(axis=0, dtype=np.int32)
 
-    for n in np.flatnonzero(target != current):
-        delta = int(target[n] - current[n])
-        if delta > 0:
-            vacant = np.flatnonzero(S[:, n] == 0)
-            if vacant.size < delta:
-                raise RuntimeError("more additions requested than vacant paths; "
-                                   "ensemble invariants are broken")
-            S[rng.choice(vacant, size=delta, replace=False), n] = 1
-        else:
-            occupied = np.flatnonzero(S[:, n] == 1)
-            S[rng.choice(occupied, size=-delta, replace=False), n] = 0
+    cols = np.flatnonzero(target != current)
+    if cols.size:
+        delta = target[cols] - current[cols]
+        need = np.abs(delta)
+        # a cell is eligible if vacant for an addition or occupied for a drop;
+        # masked cells sort last, so the first |delta| rows of a column's key
+        # order are a uniform subset of its eligible paths
+        keys = rng.random((K, cols.size))
+        keys[S[:, cols] == (delta > 0)] = 2.0
+        if np.any((keys < 2.0).sum(axis=0) < need):
+            raise RuntimeError("more additions requested than vacant paths; "
+                               "ensemble invariants are broken")
+        order = np.argsort(keys, axis=0)
+        chosen = np.arange(K)[:, None] < need
+        S[order[chosen], cols[np.nonzero(chosen)[1]]] ^= 1
 
     # Capacity repair: total load K * sum(pQ) <= K * M, so an overfull row
-    # implies an underfull one, and every move strictly shrinks the total
-    # overflow; hence at most K * M moves.
+    # implies an underfull one, and every move shrinks the total overflow by
+    # one; hence at most K * M moves.  A round's pairs share no path.
     row_sums = S.sum(axis=1, dtype=np.int32)
     moves = 0
     while True:
         over = np.flatnonzero(row_sums > M)
         if over.size == 0:
             break
-        k = int(over[0])
         deficits = np.flatnonzero(row_sums < M)
         if deficits.size == 0:
             raise RuntimeError("no deficit path during rebalance; "
                                "ensemble invariants are broken")
-        k2 = int(rng.choice(deficits))
-        movable = np.flatnonzero((S[k2] == 0) & (S[k] == 1))
-        n2 = int(rng.choice(movable))
-        S[k, n2] = 0
-        S[k2, n2] = 1
-        row_sums[k] -= 1
-        row_sums[k2] += 1
-        moves += 1
+        pairs = min(over.size, deficits.size)
+        src, dst = over[:pairs], rng.permutation(deficits)[:pairs]
+        # an overfull path holds more services than a deficit one, so each
+        # pair has at least one movable service; pick one per pair uniformly
+        pair, movable = np.nonzero(S[src] > S[dst])
+        counts = np.bincount(pair, minlength=pairs)
+        n2 = movable[np.cumsum(counts) - counts + rng.integers(counts)]
+        S[src, n2] = 0
+        S[dst, n2] = 1
+        row_sums[src] -= 1
+        row_sums[dst] += 1
+        moves += pairs
         if moves > K * M:
             raise RuntimeError("rebalance failed to terminate")
 

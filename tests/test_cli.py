@@ -55,6 +55,28 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+def test_generate_model_may_come_from_config(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": "poisson", "N": 10, "T": 20}))
+    by_file, by_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["generate", "--config", str(cfg), "--out", str(by_file)]) == 0
+    assert main(["generate", "--model", "poisson", "--N", "10", "--T", "20",
+                 "--out", str(by_flag)]) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    assert main(["generate", "--config", str(cfg), "--model", "replacement",
+                 "--out", str(by_file)]) == 0
+    assert json.loads(by_file.with_suffix(".json").read_text())["generator"] == "replacement"
+
+
+def test_generate_without_model_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--N", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--model is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_zero_trace_warns(tmp_path, capsys):
     out = tmp_path / "z.csv"
     code = main(["generate", "--model", "poisson", "--N", "10", "--T", "5",
@@ -379,7 +401,8 @@ def test_validate_zero_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["validate", *argv])
     assert exc.value.code == 2
-    assert "must be at least 1" in capsys.readouterr().err
+    # the message names the flag, not the library's keyword
+    assert f"{argv[2]} must be at least 1" in capsys.readouterr().err
 
 
 def test_validate_unknown_check_is_usage_error():

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,50 @@ def test_update_rejects_unquantized_targets():
     with pytest.raises(ValueError):
         update_ensemble(ens, np.array([0.3, 0.1]), rng_stream(0, "x"))
 
+
+def test_wide_update_keeps_every_invariant():
+    """N=1000, K=100, M=10: after each of 50 updates the column counts hit
+    the target, every path fits, the input is untouched, and the step
+    inserts exactly the positive column deltas plus the overflow the column
+    step left.  The column step ignores M and draws first, so an uncapped
+    run on a copy of the generator shows the state before the repair."""
+    K, N, M = 100, 1000, 10
+    gen = rng_stream(6, "test:wide-targets")
+    rng = rng_stream(6, "test:wide-update")
+    ens = SamplePathEnsemble.initial(K, N, M, k_star=0)
+    for _ in range(50):
+        pq = quantize_probs(project_bounded_simplex(gen.uniform(-8, 1, N), M), K)
+        before = ens.S.copy()
+        uncapped = dataclasses.replace(ens, M=N)
+        mid = update_ensemble(uncapped, pq, copy.deepcopy(rng)).S
+        nxt = update_ensemble(ens, pq, rng)
+        target = np.rint(pq * K).astype(np.int64)
+        assert np.array_equal(nxt.column_counts(), target)
+        assert nxt.S.sum(axis=1).max() <= M
+        assert np.array_equal(ens.S, before)
+        positive = np.maximum(target - before.sum(axis=0), 0).sum()
+        overflow = np.maximum(mid.sum(axis=1) - M, 0).sum()
+        inserted = np.count_nonzero(mid > before) + np.count_nonzero(nxt.S > mid)
+        assert inserted == positive + overflow
+        ens = nxt
+
+
+@pytest.mark.parametrize("add", [True, False], ids=["addition", "drop"])
+def test_column_step_picks_paths_uniformly(add):
+    """One addition into a column with v vacant paths lands on each of them
+    with frequency 1/v; one drop leaves each occupied path with 1/o."""
+    K, runs = 10, 6000
+    occupied = np.array([1, 0, 1, 0, 0, 1, 0, 0, 1, 0], dtype=np.int8)
+    eligible = np.flatnonzero(occupied != add)
+    step = 1 if add else -1
+    pq = np.array([(occupied.sum() + step) / K])
+    hits = np.zeros(K)
+    for s in range(runs):
+        ens = SamplePathEnsemble(K=K, M=1, S=occupied[:, None].copy(), k_star=0)
+        nxt = update_ensemble(ens, pq, rng_stream(s, "test:column-uniform"))
+        hits += np.abs(nxt.S[:, 0] - occupied)
+    assert hits.sum() == runs
+    assert not hits[occupied == add].any()
+    p = 1 / eligible.size
+    freq = hits[eligible] / runs
+    assert np.all(np.abs(freq - p) <= 3 * np.sqrt(p * (1 - p) / runs))
