@@ -5,18 +5,18 @@
 
 import numpy as np
 
-from edgecache import (ArrivalTrace, CostModel, forwarding_cost,
-                       path_length, project_bounded_simplex,
-                       project_bounded_simplex_oracle, switching_cost,
-                       top_m_indicator, total_cost_F)
+from edgecache import (ArrivalTrace, CostModel, path_length,
+                       project_bounded_simplex, project_bounded_simplex_oracle,
+                       slot_cost, top_m_indicator, total_cost_F)
 
 # --- a tiny two-service world -------------------------------------------
 cost = CostModel.uniform(alpha=0.05, beta_star=10.0, n_services=2, M=1)
 trace = ArrivalTrace(lam=[[100, 50], [100, 50], [20, 90]])
 
-print("forwarding if we cache service 1 only:",
-      forwarding_cost(trace.lam[0], [1, 0], cost.alpha))
-print("cost of flipping the cache:", switching_cost([1, 0], [0, 1], cost.beta))
+# slot_cost gives one slot's (forwarding, switching) pair
+forward, switch = slot_cost(trace.lam[0], [0, 0], [1, 0], cost)
+print("slot 1, caching service 1 only: forwarding", forward, "+ switching", switch)
+print("cost of flipping the cache:", slot_cost(trace.lam[0], [1, 0], [0, 1], cost)[1])
 
 # caching service 1 for two slots, then switching to service 2
 decisions = np.array([[1, 0], [1, 0], [0, 1]])

@@ -61,12 +61,12 @@ def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
 
 def theorem_cost(cost: CostModel, H_T: float, T: int) -> CostModel:
     """``cost`` at the step size the ceiling assumes: gamma = sqrt(H_T / T),
-    and eta left to ``CostModel``'s default gamma / (12 b*)."""
+    which sets ``CostModel.eta`` = gamma / (12 b*)."""
     gamma = math.sqrt(H_T / T)
     if not (0 < gamma < 1):
         raise ValueError(f"theorem mode gives gamma={gamma:.4g} outside (0, 1); "
                          "needs 0 < H_T < T")
-    return replace(cost, gamma=gamma, eta=None)
+    return replace(cost, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ class ExperimentSpec:
                 raise ValueError(f"{self.axis} values must be whole numbers")
             self.values = [int(v) for v in self.values]
         R_values = self.values if self.axis == "R" else [self.base.get("R", 0.0)]
-        if not all(v >= 0 for v in R_values):
-            raise ValueError("noise weight R must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in R_values):
+            raise ValueError("noise weight R must be finite and nonnegative")
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; available: {sorted(POLICIES)}")
@@ -154,7 +154,7 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
     (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
     (default 300).  ``rosc`` sees forecasts with noise weight R; the other
     policies see them only with ``noisy_baselines``, and exact arrivals
-    otherwise.  A negative R raises ``ValueError``."""
+    otherwise.  A negative or non-finite R raises ``ValueError``."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
     alpha = settings["alpha"]
@@ -162,8 +162,8 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
     cost = CostModel.uniform(alpha, beta_star, trace.N, int(settings["M"]),
                              gamma=settings["gamma"])
     R = float(settings.get("R", 0.0))
-    if not R >= 0:
-        raise ValueError(f"noise weight R={R} must be nonnegative")
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"noise weight R={R} must be finite and nonnegative")
     noisy = R > 0 and (name == "rosc" or noisy_baselines)
     oracle = PredictionOracle(trace, R=R, seed=seed) if noisy else None
     return POLICIES[name](trace=trace, cost=cost, W=int(settings["W"]),

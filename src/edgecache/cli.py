@@ -119,7 +119,10 @@ def cmd_generate(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     if args.policy is None or args.trace is None:
         parser.error("--policy and --trace are required")
-    trace = load_trace(args.trace)
+    try:
+        trace = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot load --trace {args.trace}: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

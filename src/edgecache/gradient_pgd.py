@@ -22,56 +22,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ArrivalTrace, CostModel, DimensionError, top_m_indicator
+from .model import (ArrivalTrace, CostModel, per_slot_costs, running_total,
+                    top_m_indicator)
 from .projection import project_bounded_simplex
 
 
-def g_vec(a, b, beta: np.ndarray, gamma: float) -> np.ndarray:
-    """Marginal surrogate switching cost of raising b given previous level a,
-    elementwise over aligned service vectors.
-
-    Piecewise in d = b - a: zero for d < 0, (6 beta / gamma) d on
+def g_vec(d, beta: np.ndarray, gamma: float, out=None, mask=None) -> np.ndarray:
+    """Marginal surrogate switching cost of a raise d = b - a over the
+    previous level a, elementwise: zero for d < 0, (6 beta / gamma) d on
     0 <= d <= gamma (the boundary d = gamma included), 3 beta beyond.
-    """
-    return _g_fast(np.subtract(b, a, dtype=float), 6.0 * beta / gamma, 3.0 * beta, gamma)
-
-
-def _g_fast(d: np.ndarray, ramp_coef: np.ndarray, cap: np.ndarray,
-            gamma: float, out=None, mask=None) -> np.ndarray:
-    # g_vec of d = b - a, with ramp_coef = 6 beta / gamma and cap = 3 beta;
-    # out (float) and mask (bool) are optional buffers shaped like d
-    out = np.multiply(d, ramp_coef, out=out)
+    ``out`` (float) and ``mask`` (bool) are optional buffers shaped like d."""
+    out = np.multiply(d, 6.0 * beta / gamma, out=out)
     mask = np.greater(d, gamma, out=mask)
-    np.copyto(out, cap, where=mask)
+    np.copyto(out, 3.0 * beta, where=mask)
     np.less(d, 0.0, out=mask)
     np.copyto(out, 0.0, where=mask)
     return out
 
 
-def aux_cost(p_cur, p_prev, lambda_row, cost: CostModel) -> float:
-    """Surrogate slot cost: smoothed 3x switching plus exact forwarding."""
-    pc = np.asarray(p_cur, dtype=float)
-    pp = np.asarray(p_prev, dtype=float)
-    lam = np.asarray(lambda_row, dtype=float)
-    if not (pc.shape == pp.shape == lam.shape == cost.beta.shape):
-        raise DimensionError("p_cur, p_prev, lambda_row and beta differ in length")
-    d = pc - pp
-    quad = (0 <= d) & (d <= cost.gamma)
-    lin = d > cost.gamma
-    switching = (np.sum(3.0 * cost.beta[quad] / cost.gamma * d[quad] ** 2)
-                 + np.sum(3.0 * cost.beta[lin] * d[lin]))
-    return float(switching + cost.alpha * np.dot(lam, 1.0 - pc))
-
-
 def aux_cost_total(probs, trace: ArrivalTrace, cost: CostModel) -> float:
-    """Surrogate cost summed over the horizon, starting from an empty cache."""
-    probs = np.asarray(probs, dtype=float)
-    total = 0.0
-    prev = np.zeros(trace.N)
-    for t in range(trace.T):
-        total += aux_cost(probs[t], prev, trace.lam[t], cost)
-        prev = probs[t]
-    return total
+    """Surrogate cost summed over the horizon, starting from an empty cache:
+    exact forwarding plus the smoothed 3x switching of each raise d > 0,
+    3 beta (min(d, gamma)^2 / gamma + d - min(d, gamma))."""
+    forward, _ = per_slot_costs(trace, probs, cost)
+    d = np.maximum(np.diff(probs, axis=0, prepend=0.0), 0.0)
+    ramp = np.minimum(d, cost.gamma)
+    switch = (ramp ** 2 / cost.gamma + d - ramp) @ (3.0 * cost.beta)
+    return running_total(forward, switch)
 
 
 def sweep_buffers(T: int, N: int) -> tuple:
@@ -93,8 +70,7 @@ def pgd_window_update(Q: np.ndarray, pressure: np.ndarray, cost: CostModel,
     np.subtract(P, Q[:-1], out=step)
     # slot t's switching derivative; slot t's forward term is the same
     # quantity at slot t + 1
-    _g_fast(step, 6.0 * cost.beta / cost.gamma, 3.0 * cost.beta, cost.gamma,
-            out=g, mask=mask)
+    g_vec(step, cost.beta, cost.gamma, out=g, mask=mask)
     np.subtract(g, pressure, out=step)
     step[:-1] -= g[1:]
     step *= cost.eta

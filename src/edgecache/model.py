@@ -26,11 +26,10 @@ class DimensionError(ValueError):
     """Vector/matrix length mismatch between related arguments."""
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    return v
+def check_count(name: str, value) -> None:
+    """Refuse a size that is not a Python or numpy integer (2.5, "3")."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,22 +40,19 @@ class CostModel:
     beta:   per-service instantiating cost, length N.
     M:      cache capacity (number of services), 1 <= M <= N.
     gamma:  smoothing width of the surrogate switching cost, in (0, 1).
-    eta:    gradient step size; defaults to gamma / (12 * beta_star).
     """
 
     alpha: float
     beta: np.ndarray
     M: int
     gamma: float = 0.05
-    eta: float | None = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        for name, value in (("alpha", self.alpha), ("beta", beta),
-                            ("gamma", self.gamma), ("eta", self.eta)):
-            if value is not None and not np.all(np.isfinite(value)):
+        for name, value in (("alpha", self.alpha), ("beta", beta), ("gamma", self.gamma)):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -64,12 +60,14 @@ class CostModel:
             raise ValueError("beta must be a vector of positive costs")
         if not (0 < self.gamma < 1):
             raise ValueError("gamma must lie in (0, 1)")
+        check_count("M", self.M)
         if not (1 <= self.M <= beta.size):
             raise ValueError(f"M={self.M} outside [1, N={beta.size}]")
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.gamma / (12.0 * self.beta_star))
-        elif self.eta <= 0:
-            raise ValueError("eta must be positive")
+
+    @property
+    def eta(self) -> float:
+        """Gradient step size gamma / (12 b*), the one Theorem 1 assumes."""
+        return self.gamma / (12.0 * self.beta_star)
 
     @property
     def beta_star(self) -> float:
@@ -81,10 +79,10 @@ class CostModel:
 
     @classmethod
     def uniform(cls, alpha: float, beta_star: float, n_services: int, M: int,
-                gamma: float = 0.05, eta: float | None = None) -> "CostModel":
+                gamma: float = 0.05) -> "CostModel":
         """All services share the same instantiating cost beta_star."""
         return cls(alpha=alpha, beta=np.full(n_services, float(beta_star)),
-                   M=M, gamma=gamma, eta=eta)
+                   M=M, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -127,29 +125,15 @@ class ArrivalTrace:
         return float(self.lam.sum(axis=1).max())
 
 
-def forwarding_cost(lambda_row, x, alpha: float) -> float:
-    """alpha * sum_n lambda_n * (1 - x_n); x may be fractional in [0,1]."""
-    lam = _as_vector(lambda_row, "lambda_row")
-    xv = _as_vector(x, "x")
-    if lam.shape != xv.shape:
-        raise DimensionError("lambda_row and x differ in length")
-    return float(alpha * np.dot(lam, 1.0 - xv))
-
-
-def switching_cost(x_prev, x_cur, beta) -> float:
-    """sum_n beta_n * max(x_cur_n - x_prev_n, 0); evictions are free."""
-    xp = _as_vector(x_prev, "x_prev")
-    xc = _as_vector(x_cur, "x_cur")
-    b = _as_vector(beta, "beta")
-    if not (xp.shape == xc.shape == b.shape):
-        raise DimensionError("x_prev, x_cur and beta differ in length")
-    return float(np.dot(b, np.maximum(xc - xp, 0.0)))
-
-
 def slot_cost(lambda_row, x_prev, x_cur, cost: CostModel) -> tuple[float, float]:
-    """(forwarding, switching) pair for one slot."""
-    return (forwarding_cost(lambda_row, x_cur, cost.alpha),
-            switching_cost(x_prev, x_cur, cost.beta))
+    """(forwarding, switching) pair for one slot: alpha * sum_n lambda_n *
+    (1 - x_n) and sum_n beta_n * max(x_n - x_prev_n, 0), with x = x_cur
+    possibly fractional in [0,1]; evictions are free."""
+    lam, xp, xc = (np.asarray(v, dtype=float) for v in (lambda_row, x_prev, x_cur))
+    if not (lam.shape == xp.shape == xc.shape == cost.beta.shape):
+        raise DimensionError("lambda_row, x_prev, x_cur and beta differ in shape")
+    return (float(cost.alpha * np.dot(lam, 1.0 - xc)),
+            float(np.dot(cost.beta, np.maximum(xc - xp, 0.0))))
 
 
 def total_cost_F(trace: ArrivalTrace, decisions, cost: CostModel) -> float:

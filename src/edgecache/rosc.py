@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient_pgd import pgd_window_update, sweep_buffers
-from .model import (ArrivalTrace, CostModel, RunRecord, running_total,
-                    slot_cost, top_m_indicator)
+from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
+                    running_total, slot_cost, top_m_indicator)
 from .sampler import (SamplePathEnsemble, decision_at, quantize_probs,
                       rng_stream, update_ensemble)
 from .workloads import PredictionOracle
@@ -31,9 +31,9 @@ from .workloads import PredictionOracle
 
 @dataclass
 class RoscConfig:
-    """Knobs of one policy run: the cost model (its ``gamma`` and ``eta``
-    are used as given; ``bench.theorem_cost`` sets them as Theorem 1
-    does), the forecast window W, the K sample paths and the seed."""
+    """Knobs of one policy run: the cost model (its ``gamma``, hence ``eta``,
+    is used as given; ``bench.theorem_cost`` sets it as Theorem 1 does),
+    the forecast window W, the K sample paths and the seed."""
 
     cost: CostModel
     W: int = 10
@@ -41,6 +41,8 @@ class RoscConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_count("W", self.W)
+        check_count("K", self.K)
         if self.W < 0:
             raise ValueError("prediction window W must be nonnegative")
         if self.K < 1:

@@ -100,10 +100,10 @@ def online_pgd_reference(trace: ArrivalTrace, cost: CostModel, W: int,
         if 1 <= t + W <= T:
             P[t + W] = top_m_indicator(lookahead, cost.M)
         for tau in range(min(t + W - 1, T), max(1, t) - 1, -1):
-            grad = (g_vec(Pbar[tau - 1], P[tau], cost.beta, cost.gamma)
+            grad = (g_vec(P[tau] - Pbar[tau - 1], cost.beta, cost.gamma)
                     - cost.alpha * window[tau - t])
             if tau < T:
-                grad -= g_vec(P[tau], P[tau + 1], cost.beta, cost.gamma)
+                grad -= g_vec(P[tau + 1] - P[tau], cost.beta, cost.gamma)
             Pbar[tau] = P[tau]
             P[tau] = project_bounded_simplex(P[tau] - cost.eta * grad, cost.M)
     return P[1:]
@@ -167,11 +167,7 @@ def check_sampler(updates: int = 1000, seed: int = 0,
     for _ in range(T):
         p = project_bounded_simplex(seq_rng.uniform(-0.3, 1.3, size=n), M)
         targets.append(quantize_probs(p, K))
-    motion = 0.0
-    prev = np.zeros(n)
-    for pq in targets:
-        motion += float(np.maximum(pq - prev, 0.0).sum())
-        prev = pq
+    motion = float(np.maximum(np.diff(targets, axis=0, prepend=0.0), 0.0).sum())
     totals = []
     for s in range(bound_seeds):
         run_rng = rng_stream(seed + 1000 + s, "validate:sampler-run")

@@ -182,8 +182,8 @@ class PredictionOracle:
     """
 
     def __init__(self, trace: ArrivalTrace, R: float = 0.0, seed: int = 0):
-        if R < 0:
-            raise ValueError("noise weight R must be nonnegative")
+        if not (np.isfinite(R) and R >= 0):
+            raise ValueError(f"noise weight R={R} must be finite and nonnegative")
         self.trace = trace
         self.R = float(R)
         self.seed = int(seed)

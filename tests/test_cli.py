@@ -181,14 +181,35 @@ def test_run_rejects_capacity_above_services(tmp_path, capsys):
     assert "M=20" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("R", ["-0.5", "nan"])
+@pytest.mark.parametrize("R", ["-0.5", "nan", "inf"])
 def test_run_rejects_bad_noise_weight(tmp_path, capsys, R):
     trace = _make_trace(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--policy", "rosc", "--trace", str(trace), "--M", "2",
+        main(["run", "--policy", "rhc", "--trace", str(trace), "--M", "2",
               "--R", R, "--out", str(tmp_path / "r")])
     assert exc.value.code == 2
     assert "noise weight R" in capsys.readouterr().err
+
+
+def test_run_missing_trace_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "rosc", "--trace", str(missing),
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "absent.csv" in capsys.readouterr().err
+
+
+def test_run_malformed_trace_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,s1,s2\n1,3,4\n2,5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "rosc", "--trace", str(bad),
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad.csv, line 3" in err
+    assert "Traceback" not in err
 
 
 def test_run_optdp_budget_refusal(tmp_path, capsys):
@@ -357,8 +378,10 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     (["--jobs", "0"], "jobs"),
     (["--axis", "R", "--values=-1,0"], "noise weight R"),
     (["--R", "-0.5"], "noise weight R"),
+    (["--R", "inf"], "noise weight R"),
 ], ids=["U-on-poisson", "generator-refuses", "fractional-M", "nan-W",
-        "unknown-policy", "no-jobs", "negative-R-value", "negative-R-base"])
+        "unknown-policy", "no-jobs", "negative-R-value", "negative-R-base",
+        "infinite-R-base"])
 def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, argv, message):
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:

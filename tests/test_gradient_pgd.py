@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgecache.gradient_pgd import (aux_cost, aux_cost_total, g_vec, offline_pgd,
+from edgecache.gradient_pgd import (aux_cost_total, g_vec, offline_pgd,
                                     pgd_window_update, sweep_buffers)
 from edgecache.model import ArrivalTrace, CostModel, DimensionError, top_m_indicator
 from edgecache.projection import project_bounded_simplex
@@ -11,9 +11,9 @@ from edgecache.workloads import (PoissonParams, ReplacementParams, SqrtChurnPara
 
 
 def test_g_vec_branches():
-    a = [0.2, 0.2, 0.0, 0.0, 0.3]
-    b = [0.18, 0.22, 0.05, 0.06, 0.3]
-    g = g_vec(a, b, np.full(5, 10.0), 0.05)
+    a = np.array([0.2, 0.2, 0.0, 0.0, 0.3])
+    b = np.array([0.18, 0.22, 0.05, 0.06, 0.3])
+    g = g_vec(b - a, np.full(5, 10.0), 0.05)
     assert g[0] == 0.0
     assert g[1] == pytest.approx(24.0)
     # the ramp owns its upper boundary exactly as stated
@@ -29,29 +29,41 @@ def test_g_vec_branchwise_monotone():
     rng = rng_stream(0, "test:gfn")
     beta, gamma = 7.0, 0.1
     d = np.sort(rng.uniform(-1, 1, 200))
-    vals = g_vec(np.zeros(200), d, np.full(200, beta), gamma)
+    vals = g_vec(d, np.full(200, beta), gamma)
     below = d <= gamma
     assert np.all(np.diff(vals[below]) >= -1e-12)
     assert np.all(vals[~below] == 3 * beta)
 
 
-def _cost(n, beta=10.0, gamma=0.05, alpha=0.05, M=None, eta=None):
+def _cost(n, beta=10.0, gamma=0.05, alpha=0.05, M=None):
     return CostModel.uniform(alpha, beta, n, M if M is not None else max(1, n // 2),
-                             gamma=gamma, eta=eta)
+                             gamma=gamma)
+
+
+def _aux_step(p_cur, p_prev, lambda_row, cost):
+    """Surrogate cost of slot 2 alone: the two-slot total, slot 1 holding
+    p_prev under zero demand, less slot 1's own cost."""
+    zeros = np.zeros(len(p_prev))
+    trace = ArrivalTrace(lam=[zeros, lambda_row])
+    return (aux_cost_total([p_prev, p_cur], trace, cost)
+            - aux_cost_total([p_prev], ArrivalTrace(lam=[zeros]), cost))
 
 
 def test_aux_cost_examples():
     c = _cost(1, M=1)
-    assert aux_cost([0.3], [0.3], [40.0], c) == pytest.approx(0.05 * 40 * 0.7)
-    assert aux_cost([0.12], [0.10], [0.0], c) == pytest.approx(0.24)
-    assert aux_cost([0.5], [0.3], [0.0], c) == pytest.approx(6.0)
+    assert _aux_step([0.3], [0.3], [40.0], c) == pytest.approx(0.05 * 40 * 0.7)
+    assert _aux_step([0.12], [0.10], [0.0], c) == pytest.approx(0.24)
+    assert _aux_step([0.5], [0.3], [0.0], c) == pytest.approx(6.0)
+    # either side of the kink at d = gamma = 0.05: (3 b / g) d^2, then 3 b d
+    assert aux_cost_total([[0.04]], ArrivalTrace(lam=[[0.0]]), c) == pytest.approx(0.96)
+    assert aux_cost_total([[0.06]], ArrivalTrace(lam=[[0.0]]), c) == pytest.approx(1.8)
     with pytest.raises(DimensionError):
-        aux_cost([0.1, 0.2], [0.1], [0.0], c)
+        aux_cost_total([[0.1, 0.2]], ArrivalTrace(lam=[[0.0]]), c)
 
 
 def test_aux_cost_negative_moves_cost_nothing():
     c = _cost(2, M=2)
-    assert aux_cost([0.1, 0.0], [0.9, 0.6], [0.0, 0.0], c) == 0.0
+    assert _aux_step([0.1, 0.0], [0.9, 0.6], [0.0, 0.0], c) == 0.0
 
 
 def test_aux_cost_finite_difference_matches_g_vec():
@@ -67,10 +79,10 @@ def test_aux_cost_finite_difference_matches_g_vec():
         d = cur - prev
         if min(abs(d), abs(d - c.gamma)) < 1e-5:
             continue
-        up = aux_cost([cur + h], [prev], [0.0], c)
-        dn = aux_cost([cur - h], [prev], [0.0], c)
+        up = _aux_step([cur + h], [prev], [0.0], c)
+        dn = _aux_step([cur - h], [prev], [0.0], c)
         fd = (up - dn) / (2 * h)
-        g = g_vec([prev], [cur], np.array([8.0]), c.gamma)[0]
+        g = g_vec(np.array([cur - prev]), np.array([8.0]), c.gamma)[0]
         assert fd == pytest.approx(g, rel=1e-4, abs=1e-4)
         checked += 1
 
@@ -114,7 +126,7 @@ def test_window_gradient_at_horizon_drops_forward_term():
 
 def test_pgd_update_zero_step_only_snapshots():
     """A step of ~0 leaves every slot where it was."""
-    c = _cost(2, M=1, eta=1e-300)  # eta must be positive; effectively zero
+    c = _cost(2, M=1, gamma=1e-290)  # eta ~ 8e-293: effectively zero
     before = [[0.0, 0.0], [0.3, 0.1], [0.2, 0.2], [0.1, 0.3]]
     np.testing.assert_allclose(_sweep(before, np.ones(2), c), before, atol=1e-12)
 
@@ -126,9 +138,9 @@ def test_pgd_update_w1_matches_direct_formula():
     lam = np.array([[10.0, 0.0], [30.0, 5.0]])
     expected = np.zeros((2, 2))
     for t in (1, 2):
-        grad = g_vec(Q[t - 1], Q[t], c.beta, c.gamma) - c.alpha * lam[t - 1]
+        grad = g_vec(Q[t] - Q[t - 1], c.beta, c.gamma) - c.alpha * lam[t - 1]
         if t < 2:
-            grad -= g_vec(Q[t], Q[t + 1], c.beta, c.gamma)
+            grad -= g_vec(Q[t + 1] - Q[t], c.beta, c.gamma)
         expected[t - 1] = project_bounded_simplex(Q[t] - c.eta * grad, c.M)
     np.testing.assert_allclose(_sweep(Q, lam, c)[1:], expected)
 
@@ -187,8 +199,8 @@ def _offline_pgd_rowwise(trace, cost, iterations):
     Q = np.zeros((T + 1, N))
     Q[2:] = theta[:-1]
     for _ in range(iterations):
-        grad = g_vec(Q[:-1], Q[1:], cost.beta, cost.gamma) - cost.alpha * trace.lam
-        grad[:-1] -= g_vec(Q[1:-1], Q[2:], cost.beta, cost.gamma)
+        grad = g_vec(np.diff(Q, axis=0), cost.beta, cost.gamma) - cost.alpha * trace.lam
+        grad[:-1] -= g_vec(np.diff(Q[1:], axis=0), cost.beta, cost.gamma)
         nxt = np.zeros_like(Q)
         for t in range(1, T + 1):
             nxt[t] = project_bounded_simplex(Q[t] - cost.eta * grad[t - 1], cost.M)

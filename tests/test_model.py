@@ -3,28 +3,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
-                             forwarding_cost, load_trace, path_length,
-                             per_slot_costs, save_trace, slot_cost,
-                             switching_cost, top_m_indicator, total_cost_F)
+                             load_trace, path_length, per_slot_costs,
+                             save_trace, slot_cost, top_m_indicator,
+                             total_cost_F)
+
+
+def _slot(lam, prev, cur, alpha=0.05, beta=(10.0, 10.0)):
+    return slot_cost(lam, prev, cur, CostModel(alpha=alpha, beta=beta, M=1))
 
 
 def test_forwarding_cost_examples():
-    assert forwarding_cost([100, 50], [1, 0], 0.05) == pytest.approx(2.5)
-    assert forwarding_cost([100, 50], [1, 1], 0.05) == 0.0
-    assert forwarding_cost([10, 10], [0.5, 0.5], 0.05) == pytest.approx(0.5)
+    assert _slot([100, 50], [0, 0], [1, 0])[0] == pytest.approx(2.5)
+    assert _slot([100, 50], [0, 0], [1, 1])[0] == 0.0
+    assert _slot([10, 10], [0, 0], [0.5, 0.5])[0] == pytest.approx(0.5)
 
 
 def test_forwarding_cost_dimension_error():
     with pytest.raises(DimensionError):
-        forwarding_cost([1, 2, 3], [1, 0], 0.05)
+        _slot([1, 2, 3], [0, 0], [1, 0])
 
 
 def test_switching_cost_examples():
-    assert switching_cost([0, 1], [1, 0], [10, 10]) == pytest.approx(10.0)
-    assert switching_cost([1, 1], [1, 1], [10, 10]) == 0.0
-    assert switching_cost([0.2, 0], [0.5, 0], [10, 10]) == pytest.approx(3.0)
+    assert _slot([0, 0], [0, 1], [1, 0])[1] == pytest.approx(10.0)
+    assert _slot([0, 0], [1, 1], [1, 1])[1] == 0.0
+    assert _slot([0, 0], [0.2, 0], [0.5, 0])[1] == pytest.approx(3.0)
     with pytest.raises(DimensionError):
-        switching_cost([0, 1], [1], [10])
+        _slot([0], [0, 1], [1], beta=[10.0])
 
 
 def test_switching_cost_binary_is_exact_sum_of_new_betas():
@@ -35,7 +39,7 @@ def test_switching_cost_binary_is_exact_sum_of_new_betas():
         cur = rng.integers(0, 2, n)
         beta = rng.uniform(0.5, 20, n)
         expected = beta[(cur == 1) & (prev == 0)].sum()
-        assert switching_cost(prev, cur, beta) == expected
+        assert _slot(np.zeros(n), prev, cur, beta=beta)[1] == expected
 
 
 def _cost(n, alpha=0.05, beta_star=10.0, M=1):
@@ -153,18 +157,22 @@ def test_trace_invariants():
 def test_cost_model_defaults_and_validation():
     cm = CostModel.uniform(0.05, 10.0, 4, 2, gamma=0.05)
     assert cm.beta_star == 10.0
-    assert cm.eta == pytest.approx(0.05 / 120.0)
-    assert CostModel.uniform(0.05, 10.0, 4, 2, eta=0.3).eta == 0.3
+    assert cm.eta == 0.05 / (12 * 10.0)
+    assert CostModel.uniform(0.05, 10.0, 4, 2, gamma=0.3).eta == 0.3 / (12 * 10.0)
     with pytest.raises(ValueError):
         CostModel.uniform(0.05, 10.0, 4, 5)  # M > N
     with pytest.raises(ValueError):
         CostModel.uniform(0.05, 10.0, 4, 2, gamma=1.0)
+    for M in (2.5, 2.0):  # fails later in top_m_indicator if let through
+        with pytest.raises(ValueError, match="M must be an integer"):
+            CostModel.uniform(0.05, 10.0, 4, M)
+    assert CostModel.uniform(0.05, 10.0, 4, np.int64(2)).M == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "eta"])
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
 def test_cost_model_rejects_non_finite_fields(field, bad):
-    kw = dict(alpha=0.05, beta=np.full(4, 10.0), M=2, gamma=0.05, eta=None)
+    kw = dict(alpha=0.05, beta=np.full(4, 10.0), M=2, gamma=0.05)
     if field == "beta":
         kw["beta"] = np.array([10.0, bad, 10.0, 10.0])
     else:

@@ -132,3 +132,8 @@ def test_config_validation():
         RoscConfig(cost=cost, W=-1, K=10)
     with pytest.raises(ValueError):
         RoscConfig(cost=cost, W=1, K=0)
+    with pytest.raises(ValueError, match="W must be an integer"):
+        RoscConfig(cost=cost, W=2.5, K=10)
+    with pytest.raises(ValueError, match="K must be an integer"):
+        RoscConfig(cost=cost, W=1, K=2.5)
+    assert RoscConfig(cost=cost, W=np.int64(2), K=np.int64(3)).K == 3

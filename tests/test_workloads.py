@@ -117,6 +117,13 @@ def test_predict_exact_when_noise_free():
     assert oracle._rows == {}  # an exact oracle draws no noise
 
 
+@pytest.mark.parametrize("R", [-0.5, np.nan, np.inf])
+def test_oracle_rejects_bad_noise_weight(R):
+    tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
+    with pytest.raises(ValueError, match="noise weight R"):
+        PredictionOracle(tr, R=R, seed=1)
+
+
 def test_predict_consistency_and_clamping():
     tr = gen_replacement(ReplacementParams(N=8, T=20, U=60), seed=1)
     oracle = PredictionOracle(tr, R=0.5, seed=2)
