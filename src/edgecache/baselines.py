@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 
 import numpy as np
 
@@ -28,15 +27,6 @@ class InstanceTooLargeError(RuntimeError):
     """The exact dynamic program refuses instances over its budget."""
 
 
-def _predicted_window(trace: ArrivalTrace, predictions: PredictionOracle | None,
-                      t: int, W: int) -> np.ndarray:
-    """(W', N) arrivals for slots t .. min(t + W - 1, T), as seen from t."""
-    span = min(W, trace.T - t + 1)
-    if predictions is None:
-        return trace.lam[t - 1: t - 1 + span]
-    return predictions.predict_window(t, span)
-
-
 def solve_rhc_window(lam_hat: np.ndarray, x_prev: np.ndarray,
                      cost: CostModel) -> np.ndarray:
     """Capacity-repaired window plan; row i is the plan for window slot i.
@@ -47,54 +37,50 @@ def solve_rhc_window(lam_hat: np.ndarray, x_prev: np.ndarray,
     """
     span, N = lam_hat.shape
     fwd = cost.alpha * lam_hat                      # forwarding cost per slot if uncached
-    g0 = fwd[0].copy()
-    g1 = np.where(x_prev > 0, 0.0, cost.beta)
-    back0 = np.zeros((span, N), dtype=np.int8)
-    back1 = np.ones((span, N), dtype=np.int8)
+    g0, g1 = fwd[0], np.where(x_prev > 0, 0.0, cost.beta)
+    # from0[i] / from1[i]: the best way into state 0 / 1 at slot i leaves state 1
+    from0 = np.zeros((span, N), dtype=bool)
+    from1 = np.zeros((span, N), dtype=bool)
     for i in range(1, span):
-        stay0 = g0 <= g1
-        new_g0 = np.where(stay0, g0, g1) + fwd[i]
-        stay1 = g1 <= g0 + cost.beta
-        new_g1 = np.where(stay1, g1, g0 + cost.beta)
-        back0[i] = np.where(stay0, 0, 1)
-        back1[i] = np.where(stay1, 1, 0)
-        g0, g1 = new_g0, new_g1
+        from0[i], from1[i] = g1 < g0, g1 <= g0 + cost.beta
+        g0, g1 = np.minimum(g0, g1) + fwd[i], np.minimum(g1, g0 + cost.beta)
 
-    plan = np.zeros((span, N), dtype=np.int8)
-    state = (g1 < g0).astype(np.int8)               # ties resolve to not caching
+    plan = np.empty((span, N), dtype=np.int8)
+    state = g1 < g0                                 # ties resolve to not caching
     plan[span - 1] = state
     for i in range(span - 1, 0, -1):
-        state = np.where(state == 1, back1[i], back0[i]).astype(np.int8)
+        state = np.where(state, from1[i], from0[i])
         plan[i - 1] = state
 
-    saving = fwd.sum(axis=0) - np.minimum(g0, g1)
-    priority = np.empty(N, dtype=np.int64)
-    priority[np.lexsort((np.arange(N), -saving))] = np.arange(N)
-    for i in range(span):
-        cached = np.flatnonzero(plan[i])
-        if cached.size > cost.M:
-            drop = cached[np.argsort(priority[cached], kind="stable")[cost.M:]]
-            plan[i, drop] = 0
+    if plan.sum(axis=1).max() > cost.M:
+        saving = fwd.sum(axis=0) - np.minimum(g0, g1)
+        order = np.lexsort((np.arange(N), -saving))
+        ranked = plan[:, order]
+        ranked[np.cumsum(ranked, axis=1) > cost.M] = 0
+        plan[:, order] = ranked
     return plan
 
 
 def _horizon_plans(trace: ArrivalTrace, cost: CostModel, W: int,
                    predictions: PredictionOracle | None):
     """Yield slot t's window plan for t = 1 .. T, each solved from the
-    first row of the plan before it (the RHC path)."""
+    first row of the plan before it (the RHC path).  The window holds slots
+    t .. min(t + W - 1, T): trace rows, or forecasts made at t."""
+    if W < 1:
+        raise ValueError("horizon control needs a window of at least one slot")
     x_prev = np.zeros(trace.N)
     for t in range(1, trace.T + 1):
-        plan = solve_rhc_window(_predicted_window(trace, predictions, t, W),
-                                x_prev, cost)
+        span = min(W, trace.T - t + 1)
+        lam_hat = (trace.lam[t - 1: t - 1 + span] if predictions is None
+                   else predictions.predict_window(t, span))
+        plan = solve_rhc_window(lam_hat, x_prev, cost)
         yield plan
-        x_prev = plan[0].astype(float)
+        x_prev = plan[0]
 
 
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
     """Receding horizon control: re-plan every slot, commit only the first."""
-    if W < 1:
-        raise ValueError("RHC needs a window of at least one slot")
     decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
     for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
@@ -108,13 +94,11 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
     """Committed horizon control: slot t's decision is the average of the
     last W window plans' entries for slot t, costed fractionally."""
-    if W < 1:
-        raise ValueError("CHC needs a window of at least one slot")
     decisions = np.zeros((trace.T, trace.N))
-    plans: deque = deque(maxlen=W)                  # oldest first; the last was made at t
+    plans: list = []                                # oldest first; the last was made at t
     t0 = time.perf_counter()
     for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
-        plans.append(plan)
+        plans = (plans + [plan])[-W:]
         # the plan made k slots before t holds slot t in its row k
         votes = [p[len(plans) - 1 - i] for i, p in enumerate(plans)]
         decisions[t] = np.mean(votes, axis=0)

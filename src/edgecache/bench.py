@@ -48,8 +48,12 @@ def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
                        W: int, H_T: float) -> dict:
     """The ``regret_bound`` ceiling split into its tracking, rounding and
     churn terms, with their sum as ``total``."""
-    if W < 1:
-        raise ValueError("the bound needs a window of at least one slot")
+    for name, value in (("W", W), ("K", K), ("T", T)):
+        if value < 1:
+            raise ValueError(f"{name}={value} must be at least 1")
+    for name, value in (("U", U), ("H_T", H_T)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name}={value} must be finite and nonnegative")
     a, bs, M = cost.alpha, cost.beta_star, cost.M
     tracking = (6.0 * math.sqrt(2.0 * M) * bs * (a + 3.0 * bs) / (a * W)
                 + 3.0 * bs * N) * math.sqrt(H_T * T)

@@ -4,8 +4,8 @@ Subcommands: ``generate`` (workload traces), ``run`` (one policy on one
 trace), ``sweep`` (multi-seed axis sweeps), ``validate`` (randomized oracle
 suites), ``bound`` (theoretical regret ceiling).
 
-Exit codes: 0 success, 2 usage error, 3 infeasible instance,
-4 validation failure.
+Exit codes: 0 success, 1 a sweep with failed cells (or an uncaught
+error), 2 usage error, 3 infeasible instance, 4 validation failure.
 
 Each subcommand's parser is the one description of its settings: ``run``
 and ``sweep`` share the paper preset flags, and each ``generate`` flag has
@@ -29,6 +29,7 @@ from .baselines import InstanceTooLargeError
 from .model import CostModel, load_trace, path_length, save_trace
 
 EXIT_OK = 0
+EXIT_FAILED_CELLS = 1
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
@@ -181,7 +182,7 @@ def cmd_sweep(args, parser) -> int:
     failed = len(report["failures"])
     print(f"sweep over {spec.axis}={spec.values}: "
           f"{len(report['points'])} points, {failed} failures -> {args.out}")
-    return EXIT_OK if report["ok"] else 1
+    return EXIT_OK if report["ok"] else EXIT_FAILED_CELLS
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -259,7 +260,12 @@ def load_trace(csv_path) -> ArrivalTrace:
     if sidecar.exists():
         with open(sidecar) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{sidecar}: expected a JSON object")
         U = doc.get("U")
+        # a finite number; the comparison is False for NaN, inf and huge ints
+        if U is not None and not (type(U) in (int, float) and abs(U) <= sys.float_info.max):
+            raise ValueError(f"{sidecar}: U must be null or a finite number, got {U!r}")
         meta = {k: doc.get(k) for k in ("seed", "generator", "params")
                 if doc.get(k) is not None}
     return ArrivalTrace(lam=lam, U=U, meta=meta)

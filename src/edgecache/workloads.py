@@ -218,21 +218,16 @@ class PredictionOracle:
             return lam.copy() if 1 <= t <= self.trace.T else lam
         return self.predict_window(tau, t - tau + 1)[-1]
 
-    def predict(self, n: int, t: int, tau: int) -> float:
-        """Forecast for one service; repeated queries are consistent."""
-        if not (0 <= n < self.trace.N):
-            raise ValueError(f"service index {n} outside [0, {self.trace.N})")
-        return float(self.predict_row(t, tau)[n])
-
     def predict_window(self, tau: int, W: int) -> np.ndarray:
         """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau."""
         out = np.zeros((W, self.trace.N))
-        walk = np.zeros(self.trace.N)
-        for i in range(W):
-            t = tau + i
-            if self.R != 0.0:
-                walk += self._noise(t)
-            lam = self.trace.slot(t)
-            if 1 <= t <= self.trace.T:
-                out[i] = np.maximum(lam * (1.0 + self.R * walk), 0.0)
+        lo, hi = max(tau, 1), min(tau + W - 1, self.trace.T)  # the in-horizon slots
+        if lo > hi:
+            return out
+        rows = out[lo - tau: hi - tau + 1]
+        rows[:] = self.trace.lam[lo - 1: hi]
+        if self.R != 0.0:
+            walk = np.cumsum([self._noise(s) for s in range(tau, hi + 1)], axis=0)
+            rows *= 1.0 + self.R * walk[lo - tau:]
+            np.maximum(rows, 0.0, out=rows)
         return out

@@ -93,6 +93,64 @@ def test_rhc_heuristic_matches_enumeration_on_tiny_windows():
     assert np.mean(gaps) <= 0.5
 
 
+def _rowwise_window(lam_hat, x_prev, cost):
+    """solve_rhc_window written row by row: int8 back pointers from
+    ``np.where`` pairs and a per-slot repair over a priority permutation.
+    Also returns whether the repair dropped anything."""
+    span, N = lam_hat.shape
+    fwd = cost.alpha * lam_hat
+    g0 = fwd[0].copy()
+    g1 = np.where(x_prev > 0, 0.0, cost.beta)
+    back0 = np.zeros((span, N), dtype=np.int8)
+    back1 = np.ones((span, N), dtype=np.int8)
+    for i in range(1, span):
+        stay0 = g0 <= g1
+        new_g0 = np.where(stay0, g0, g1) + fwd[i]
+        stay1 = g1 <= g0 + cost.beta
+        new_g1 = np.where(stay1, g1, g0 + cost.beta)
+        back0[i] = np.where(stay0, 0, 1)
+        back1[i] = np.where(stay1, 1, 0)
+        g0, g1 = new_g0, new_g1
+    plan = np.zeros((span, N), dtype=np.int8)
+    state = (g1 < g0).astype(np.int8)
+    plan[span - 1] = state
+    for i in range(span - 1, 0, -1):
+        state = np.where(state == 1, back1[i], back0[i]).astype(np.int8)
+        plan[i - 1] = state
+    saving = fwd.sum(axis=0) - np.minimum(g0, g1)
+    priority = np.empty(N, dtype=np.int64)
+    priority[np.lexsort((np.arange(N), -saving))] = np.arange(N)
+    repaired = False
+    for i in range(span):
+        cached = np.flatnonzero(plan[i])
+        if cached.size > cost.M:
+            drop = cached[np.argsort(priority[cached], kind="stable")[cost.M:]]
+            plan[i, drop] = 0
+            repaired = True
+    return plan, repaired
+
+
+def test_rhc_window_matches_rowwise_formulation_on_tie_heavy_windows():
+    """Integer demands 0-3 at alpha = 0.05 cost 0, 0.05, 0.1 or 0.15 a
+    slot, the same grid as the betas, so DP ties and saving ties abound."""
+    rng = rng_stream(9, "test:rowwise-window")
+    betas = np.array([0.05, 0.1, 0.15, 1.0, 2.0])
+    repaired = 0
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        span = int(rng.integers(1, 7))
+        cost = CostModel(alpha=0.05, beta=rng.choice(betas, n),
+                         M=int(rng.integers(1, max(2, n // 2) + 1)))
+        lam_hat = rng.integers(0, 4, (span, n)).astype(float)
+        x_prev = (rng.random(n) < 0.6).astype(float)
+        plan = solve_rhc_window(lam_hat, x_prev, cost)
+        expected, dropped = _rowwise_window(lam_hat, x_prev, cost)
+        assert plan.dtype == np.int8
+        assert np.array_equal(plan, expected)
+        repaired += dropped
+    assert repaired > 2000
+
+
 def test_rhc_w1_tiny_beta_tracks_top_m():
     rng = rng_stream(3, "test:ftl")
     lam = rng.poisson(20, (12, 5)).astype(float)
@@ -138,6 +196,14 @@ def test_chc_all_solves_agree_is_binary():
     cost = _cost(3, beta=2.0, M=1)
     rec = chc_policy(trace, cost, W=3)
     assert set(np.unique(rec.decisions)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("W", [0, -1])
+@pytest.mark.parametrize("policy", [rhc_policy, chc_policy])
+def test_horizon_control_refuses_windows_below_one(policy, W):
+    trace = ArrivalTrace(lam=np.ones((4, 3)))
+    with pytest.raises(ValueError, match="window of at least one slot"):
+        policy(trace, _cost(3), W)
 
 
 def test_sopt_examples():

@@ -212,6 +212,24 @@ def test_run_malformed_trace_file_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ("[1, 2]", "expected a JSON object"),
+    ('{"U": "50"}', "U must be null or a finite number"),
+    ('{"U": NaN}', "U must be null or a finite number"),
+], ids=["array", "string-U", "nan-U"])
+def test_run_malformed_trace_sidecar_is_usage_error(tmp_path, capsys, sidecar, message):
+    trace = _make_trace(tmp_path)
+    trace.with_suffix(".json").write_text(sidecar)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", "sopt", "--trace", str(trace), "--M", "2",
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot load --trace {trace}" in err and "trace.json" in err
+    assert message in err
+
+
 def test_run_optdp_budget_refusal(tmp_path, capsys):
     trace = _make_trace(tmp_path)  # N = 12 exceeds the exact-DP budget
     code = main(["run", "--policy", "opt-dp", "--trace", str(trace),
@@ -363,6 +381,14 @@ def test_sweep_smoke_and_table_shape(tmp_path):
     assert costs[0].startswith("W,rosc_mean,rosc_std")
 
 
+def test_sweep_with_failed_cells_exits_1(tmp_path, capsys):
+    # N = 40 exceeds the exact DP's budget, so the one cell fails
+    code = main(["sweep", "--N", "40", "--T", "12", "--seeds", "1",
+                 "--policies", "opt-dp", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "1 failures" in capsys.readouterr().out
+
+
 def test_sweep_empty_seeds_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--seeds", "0", "--out", str(tmp_path / "x")])
@@ -451,6 +477,21 @@ def test_bound_rejects_w0():
               "--N", "10", "--T", "100", "--U", "50", "--K", "10",
               "--W", "0", "--HT", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--K", "0", "K=0"), ("--K", "-5", "K=-5"), ("--T", "0", "T=0"),
+    ("--U", "nan", "U=nan"), ("--U", "-1", "U=-1"),
+    ("--HT", "-1", "H_T=-1"), ("--HT", "inf", "H_T=inf"),
+], ids=["K-0", "K-negative", "T-0", "U-nan", "U-negative", "HT-negative", "HT-inf"])
+def test_bound_rejects_bad_counts(capsys, flag, value, name):
+    argv = {"--alpha": "0.05", "--beta-star": "10", "--M": "2", "--N": "10",
+            "--T": "100", "--U": "50", "--K": "10", "--W": "2", "--HT": "5"}
+    argv[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *(item for pair in argv.items() for item in pair)])
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
 
 
 def test_bound_rejects_capacity_above_services(capsys):

@@ -106,8 +106,8 @@ def test_predict_exact_when_noise_free():
     oracle = PredictionOracle(tr, R=0.0, seed=1)
     for t in (1, 7, 30):
         np.testing.assert_array_equal(oracle.predict_row(t, 1), tr.lam[t - 1])
-    assert oracle.predict(3, 31, 5) == 0.0  # beyond the horizon
-    assert oracle.predict(3, 0, -2) == 0.0  # before the start
+    assert oracle.predict_row(31, 5)[3] == 0.0  # beyond the horizon
+    assert oracle.predict_row(0, -2)[3] == 0.0  # before the start
     win = oracle.predict_window(-1, 35)
     assert win.shape == (35, 12)
     np.testing.assert_array_equal(win[2:32], tr.lam)
@@ -127,8 +127,8 @@ def test_oracle_rejects_bad_noise_weight(R):
 def test_predict_consistency_and_clamping():
     tr = gen_replacement(ReplacementParams(N=8, T=20, U=60), seed=1)
     oracle = PredictionOracle(tr, R=0.5, seed=2)
-    a = oracle.predict(2, 10, 4)
-    b = oracle.predict(2, 10, 4)
+    a = oracle.predict_row(10, 4)[2]
+    b = oracle.predict_row(10, 4)[2]
     assert a == b
     row = oracle.predict_row(10, 4)
     assert np.all(row >= 0)
@@ -139,6 +139,32 @@ def test_predict_consistency_and_clamping():
     # window view agrees with scalar queries
     win = oracle.predict_window(4, 8)
     np.testing.assert_allclose(win[6], oracle.predict_row(10, 4))
+
+
+def _rowwise_predict_window(oracle, tau, W):
+    """predict_window written row by row: one noise row added per slot,
+    drawn for every slot of the window, in or out of the horizon."""
+    out = np.zeros((W, oracle.trace.N))
+    walk = np.zeros(oracle.trace.N)
+    for i in range(W):
+        t = tau + i
+        if oracle.R != 0.0:
+            walk += oracle._noise(t)
+        if 1 <= t <= oracle.trace.T:
+            out[i] = np.maximum(oracle.trace.lam[t - 1] * (1.0 + oracle.R * walk), 0.0)
+    return out
+
+
+@pytest.mark.parametrize("R", [0.0, 0.03, 0.5, 2.0])
+def test_predict_window_matches_rowwise_formulation(R):
+    tr = gen_replacement(ReplacementParams(N=7, T=20, U=60), seed=6)
+    oracle = PredictionOracle(tr, R=R, seed=3)
+    for tau in range(-15, tr.T + 16):
+        for W in range(26):
+            win = oracle.predict_window(tau, W)
+            expected = _rowwise_predict_window(oracle, tau, W)
+            assert win.shape == (W, tr.N)
+            assert win.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("R", [0.0, 0.4])
@@ -160,8 +186,8 @@ def test_predict_zero_demand_is_noise_immune():
     lam[:, 0] = 50.0
     from edgecache.model import ArrivalTrace
     oracle = PredictionOracle(ArrivalTrace(lam=lam), R=1.0, seed=3)
-    assert oracle.predict(1, 5, 2) == 0.0
-    assert oracle.predict(2, 5, 2) == 0.0
+    assert oracle.predict_row(5, 2)[1] == 0.0
+    assert oracle.predict_row(5, 2)[2] == 0.0
 
 
 def test_predict_past_slots_return_truth():
@@ -177,7 +203,7 @@ def test_predict_formula_with_pinned_noise():
     oracle = PredictionOracle(ArrivalTrace(lam=lam), R=0.03, seed=0)
     for s in range(1, 11):
         oracle._rows[s] = np.ones(1)
-    assert oracle.predict(0, 10, 1) == pytest.approx(130.0)
+    assert oracle.predict_row(10, 1)[0] == pytest.approx(130.0)
 
 
 def test_prediction_error_std_matches_random_walk():
