@@ -258,8 +258,10 @@ def load_trace(csv_path) -> ArrivalTrace:
     meta: dict = {}
     sidecar = csv_path.with_suffix(".json")
     if sidecar.exists():
-        with open(sidecar) as fh:
-            doc = json.load(fh)
+        try:
+            doc = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}: not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ValueError(f"{sidecar}: expected a JSON object")
         U = doc.get("U")

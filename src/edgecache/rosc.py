@@ -97,7 +97,8 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     pressure = np.empty((T, N))
     buffers = sweep_buffers(T, N)
     for lead in range(W - 1, -1, -1):
-        np.multiply(predictions.predict_lead(lead), cost.alpha, out=pressure)
+        forecast = lookahead if lead == W - 1 else predictions.predict_lead(lead)
+        np.multiply(forecast, cost.alpha, out=pressure)
         pgd_window_update(Q, pressure, cost, buffers)
 
     p_quant = quantize_probs(Q[1:], K)

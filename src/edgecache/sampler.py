@@ -18,9 +18,12 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Independent, reproducible generator for (seed, label).
 
     Identical arguments yield bit-identical streams regardless of creation
-    order, which keeps whole runs replayable from a single seed.
+    order, which keeps whole runs replayable from a single seed.  The uint32
+    entropy is what ``SeedSequence`` makes of ``[seed mod 2^64, *label bytes]``.
     """
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF] + list(label.encode("utf-8"))
+    seed &= 0xFFFFFFFFFFFFFFFF
+    words = np.array([seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed], dtype=np.uint32)
+    entropy = np.concatenate([words, np.frombuffer(label.encode("utf-8"), dtype=np.uint8)])
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -113,11 +116,11 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     # implies an underfull one, and every move shrinks the total overflow by
     # one; hence at most K * M moves.  A round's pairs share no path.
     row_sums = S.sum(axis=1, dtype=np.int32)
+    over = np.flatnonzero(row_sums > M)
+    # zero-target columns are empty after the column step: scan the others
+    live = np.flatnonzero(target) if over.size else None
     moves = 0
-    while True:
-        over = np.flatnonzero(row_sums > M)
-        if over.size == 0:
-            break
+    while over.size:
         deficits = np.flatnonzero(row_sums < M)
         if deficits.size == 0:
             raise RuntimeError("no deficit path during rebalance; "
@@ -126,9 +129,10 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
         src, dst = over[:pairs], rng.permutation(deficits)[:pairs]
         # an overfull path holds more services than a deficit one, so each
         # pair has at least one movable service; pick one per pair uniformly
-        pair, movable = np.nonzero(S[src] > S[dst])
+        occupied = S[:, live]
+        pair, movable = np.nonzero(occupied[src] > occupied[dst])
         counts = np.bincount(pair, minlength=pairs)
-        n2 = movable[np.cumsum(counts) - counts + rng.integers(counts)]
+        n2 = live[movable[np.cumsum(counts) - counts + rng.integers(counts)]]
         S[src, n2] = 0
         S[dst, n2] = 1
         row_sums[src] -= 1
@@ -136,6 +140,7 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
         moves += pairs
         if moves > K * M:
             raise RuntimeError("rebalance failed to terminate")
+        over = np.flatnonzero(row_sums > M)
 
     return SamplePathEnsemble(K=K, M=M, S=S, k_star=ensemble.k_star)
 

@@ -175,8 +175,9 @@ class PredictionOracle:
 
     The forecast of slot ``t`` made at slot ``tau <= t`` is
     ``lam * (1 + R * sum_{s=tau}^{t} e(s))`` clamped at zero, with one
-    standard-normal draw ``e_n(s)`` per service and step, fixed per seed, so
-    re-asking about the same slot from closer by shrinks the noise sum.
+    standard-normal draw ``e_n(s)`` per service and step from a stream seeded
+    by (seed, s), so forecasts do not depend on the order they are asked in,
+    and re-asking about the same slot from closer by shrinks the noise sum.
     Past slots (t < tau) return the true, already observed arrivals; slots
     outside the horizon return zero.  ``R = 0`` is an exact oracle.
     """
@@ -187,14 +188,19 @@ class PredictionOracle:
         self.trace = trace
         self.R = float(R)
         self.seed = int(seed)
-        self._rows: dict[int, np.ndarray] = {}
+        self._first = trace.T + 1  # _block holds the noise rows of slots _first .. T
+        self._block = np.empty((0, trace.N))
 
     def _noise(self, s: int) -> np.ndarray:
-        row = self._rows.get(s)
-        if row is None:
-            row = rng_stream(self.seed, f"prediction-noise:{s}").standard_normal(self.trace.N)
-            self._rows[s] = row
-        return row
+        return rng_stream(self.seed, f"prediction-noise:{s}").standard_normal(self.trace.N)
+
+    def _noise_rows(self, lo: int, hi: int) -> np.ndarray:
+        """View of the noise rows of slots lo .. hi <= T, drawn once per oracle
+        from the earliest slot asked for; a lower lo prepends the missing rows."""
+        if lo < self._first:
+            self._block = np.vstack([*map(self._noise, range(lo, self._first)), self._block])
+            self._first = lo
+        return self._block[lo - self._first: hi - self._first + 1]
 
     def predict_lead(self, lead: int) -> np.ndarray:
         """(T, N) forecasts of every slot made ``lead`` slots ahead: row
@@ -205,9 +211,9 @@ class PredictionOracle:
         if self.R == 0.0:
             return self.trace.lam
         T = self.trace.T
-        noise = np.stack([self._noise(s) for s in range(1 - lead, T + 1)])
-        walk = np.zeros((T, self.trace.N))
-        for i in range(lead + 1):
+        noise = self._noise_rows(1 - lead, T)
+        walk = noise[:T].copy()
+        for i in range(1, lead + 1):
             walk += noise[i: i + T]
         return np.maximum(self.trace.lam * (1.0 + self.R * walk), 0.0)
 
@@ -227,7 +233,7 @@ class PredictionOracle:
         rows = out[lo - tau: hi - tau + 1]
         rows[:] = self.trace.lam[lo - 1: hi]
         if self.R != 0.0:
-            walk = np.cumsum([self._noise(s) for s in range(tau, hi + 1)], axis=0)
+            walk = np.cumsum(self._noise_rows(tau, hi), axis=0)
             rows *= 1.0 + self.R * walk[lo - tau:]
             np.maximum(rows, 0.0, out=rows)
         return out

@@ -216,7 +216,8 @@ def test_run_malformed_trace_file_is_usage_error(tmp_path, capsys):
     ("[1, 2]", "expected a JSON object"),
     ('{"U": "50"}', "U must be null or a finite number"),
     ('{"U": NaN}', "U must be null or a finite number"),
-], ids=["array", "string-U", "nan-U"])
+    ("{U: 50}", "not valid JSON"),
+], ids=["array", "string-U", "nan-U", "broken-json"])
 def test_run_malformed_trace_sidecar_is_usage_error(tmp_path, capsys, sidecar, message):
     trace = _make_trace(tmp_path)
     trace.with_suffix(".json").write_text(sidecar)

@@ -10,6 +10,18 @@ from edgecache.sampler import (SamplePathEnsemble, decision_at,
                                rng_stream, update_ensemble)
 
 
+@pytest.mark.parametrize("label", ["prediction-noise:-3", "rosc:sampler", "", "péage-緩存"])
+def test_rng_stream_seeds_from_seed_and_label_bytes(label):
+    """The stream is the SeedSequence of [seed mod 2^64, *label bytes], so a
+    change to how the entropy is built cannot silently reseed runs."""
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**40 + 5, -1, -2**63, 2**64 - 1):
+        entropy = [seed & 0xFFFFFFFFFFFFFFFF] + list(label.encode("utf-8"))
+        expected = np.random.default_rng(np.random.SeedSequence(entropy))
+        got = rng_stream(seed, label)
+        assert got.standard_normal(8).tobytes() == expected.standard_normal(8).tobytes()
+        assert got.integers(2**63, size=4).tobytes() == expected.integers(2**63, size=4).tobytes()
+
+
 def test_quantize_examples():
     assert quantize_probs(np.array([0.237]), 100)[0] == pytest.approx(0.23)
     assert quantize_probs(np.array([1.0]), 100)[0] == 1.0

@@ -101,9 +101,11 @@ def test_sqrt_churn_scales_like_sqrt_t():
     assert 1.5 <= ratio <= 2.8
 
 
-def test_predict_exact_when_noise_free():
+def test_predict_exact_when_noise_free(monkeypatch):
     tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
     oracle = PredictionOracle(tr, R=0.0, seed=1)
+    drawn = []
+    monkeypatch.setattr(oracle, "_noise", drawn.append)
     for t in (1, 7, 30):
         np.testing.assert_array_equal(oracle.predict_row(t, 1), tr.lam[t - 1])
     assert oracle.predict_row(31, 5)[3] == 0.0  # beyond the horizon
@@ -114,7 +116,8 @@ def test_predict_exact_when_noise_free():
     assert not win[:2].any() and not win[32:].any()
     late = oracle.predict_window(40, 33)  # wholly past the horizon
     assert late.shape == (33, 12) and not late.any()
-    assert oracle._rows == {}  # an exact oracle draws no noise
+    assert oracle.predict_lead(3) is tr.lam
+    assert drawn == []  # an exact oracle draws no noise
 
 
 @pytest.mark.parametrize("R", [-0.5, np.nan, np.inf])
@@ -181,6 +184,21 @@ def test_predict_lead_rows_equal_window_forecasts(R):
         oracle.predict_lead(-1)
 
 
+def test_forecasts_do_not_depend_on_query_order():
+    """A later request for earlier slots extends the oracle's noise rows; the
+    bytes equal those of fresh oracles asked once each."""
+    tr = gen_replacement(ReplacementParams(N=6, T=60, U=60), seed=4)
+    asks = [("predict_window", 40, 5), ("predict_window", -3, 8), ("predict_lead", 4)]
+    shared = PredictionOracle(tr, R=0.3, seed=7)
+    for method, *args in asks:
+        fresh = PredictionOracle(tr, R=0.3, seed=7)
+        got = getattr(shared, method)(*args)
+        assert got.tobytes() == getattr(fresh, method)(*args).tobytes()
+        got += 1.0  # callers get copies, never the oracle's own rows
+    fresh = PredictionOracle(tr, R=0.3, seed=7)
+    assert shared.predict_lead(4).tobytes() == fresh.predict_lead(4).tobytes()
+
+
 def test_predict_zero_demand_is_noise_immune():
     lam = np.zeros((10, 3))
     lam[:, 0] = 50.0
@@ -196,13 +214,13 @@ def test_predict_past_slots_return_truth():
     np.testing.assert_array_equal(oracle.predict_row(5, 9), tr.lam[4])
 
 
-def test_predict_formula_with_pinned_noise():
+def test_predict_formula_with_pinned_noise(monkeypatch):
     """lam=100, R=0.03, ten unit noise steps -> forecast 130."""
     from edgecache.model import ArrivalTrace
     lam = np.full((12, 1), 100.0)
     oracle = PredictionOracle(ArrivalTrace(lam=lam), R=0.03, seed=0)
-    for s in range(1, 11):
-        oracle._rows[s] = np.ones(1)
+    draw = oracle._noise
+    monkeypatch.setattr(oracle, "_noise", lambda s: np.ones(1) if 1 <= s <= 10 else draw(s))
     assert oracle.predict_row(10, 1)[0] == pytest.approx(130.0)
 
 
