@@ -151,14 +151,13 @@ POLICIES = {
 }
 
 
-def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
-               noisy_baselines: bool = False) -> RunRecord:
+def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> RunRecord:
     """Run the named policy under ``settings``: ``alpha``, ``ratio``, ``M``,
     ``W``, ``K``, ``gamma`` and ``R`` (0 when absent), plus ``beta_star``
     (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
-    (default 300).  ``rosc`` sees forecasts with noise weight R; the other
-    policies see them only with ``noisy_baselines``, and exact arrivals
-    otherwise.  A negative or non-finite R raises ``ValueError``."""
+    (default 300).  Every forecasting policy (``rosc``, ``rhc``, ``chc``)
+    sees forecasts with noise weight R, seeded by ``seed``; the offline
+    policies ignore them.  A negative or non-finite R raises ``ValueError``."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
     alpha = settings["alpha"]
@@ -168,8 +167,7 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int,
     R = float(settings.get("R", 0.0))
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"noise weight R={R} must be finite and nonnegative")
-    noisy = R > 0 and (name == "rosc" or noisy_baselines)
-    oracle = PredictionOracle(trace, R=R, seed=seed) if noisy else None
+    oracle = PredictionOracle(trace, R=R, seed=seed) if R > 0 else None
     return POLICIES[name](trace=trace, cost=cost, W=int(settings["W"]),
                           K=int(settings["K"]), seed=seed, oracle=oracle,
                           W_big=settings.get("W_big", 300))

@@ -130,8 +130,7 @@ def cmd_run(args, parser) -> int:
     if args.beta_star is None:
         args.beta_star = args.alpha * args.ratio
     try:
-        rec = bench.run_policy(args.policy, trace, vars(args), args.seed,
-                               noisy_baselines=True)
+        rec = bench.run_policy(args.policy, trace, vars(args), args.seed)
     except InstanceTooLargeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -27,10 +27,12 @@ class DimensionError(ValueError):
     """Vector/matrix length mismatch between related arguments."""
 
 
-def check_count(name: str, value) -> None:
-    """Refuse a size that is not a Python or numpy integer (2.5, "3")."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_count(name: str, value, low: int | None = None) -> None:
+    """Refuse a size that is not a Python or numpy integer (2.5, "3"), or
+    that is below ``low``."""
+    if not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,8 @@ class RoscConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_count("W", self.W)
-        check_count("K", self.K)
-        if self.W < 0:
-            raise ValueError("prediction window W must be nonnegative")
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
+        check_count("W", self.W, low=0)
+        check_count("K", self.K, low=1)
 
     def as_dict(self) -> dict:
         return {

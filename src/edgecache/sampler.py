@@ -5,6 +5,8 @@ probability mass 1/K; the policy follows one path, chosen uniformly once
 per run.  After every update the column means equal the quantized target
 probabilities exactly, every path respects the capacity M, and the number
 of per-path insertions stays proportional to the movement of the targets.
+An ensemble is a value that carries its column and row sums, so an update
+costs what changes, not K x N, and never alters its input.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import check_count
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -29,18 +33,26 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
 
 @dataclass
 class SamplePathEnsemble:
-    """K binary cache vectors of width N, capacity M per path, plus the
-    index of the path the policy follows."""
+    """K binary cache vectors of width N, capacity M per path, the index of
+    the path the policy follows, and the column and row sums of ``S``
+    (derived from ``S`` when not passed).  A value: ``update_ensemble``
+    never changes ``S`` in place, and a caller should not either."""
 
     K: int
     M: int
     S: np.ndarray        # (K, N) int8 in {0, 1}
     k_star: int          # 0-based row the policy follows
+    counts: np.ndarray | None = None   # (N,) int64 column sums of S
+    loads: np.ndarray | None = None    # (K,) int64 row sums of S
+
+    def __post_init__(self):
+        if self.counts is None or self.loads is None:
+            self.counts, self.loads = (self.S.sum(axis=a, dtype=np.int64) for a in (0, 1))
 
     @classmethod
     def initial(cls, K: int, N: int, M: int, k_star: int) -> "SamplePathEnsemble":
-        if K < 1:
-            raise ValueError("K must be a positive integer")
+        check_count("K", K, low=1)
+        check_count("M", M)
         if not (0 <= k_star < K):
             raise ValueError("k_star outside [0, K)")
         if not (1 <= M <= N):
@@ -52,6 +64,7 @@ class SamplePathEnsemble:
         return int(self.S.shape[1])
 
     def column_counts(self) -> np.ndarray:
+        """Column sums recounted from ``S``, independent of ``counts``."""
         return self.S.sum(axis=0, dtype=np.int64)
 
 
@@ -63,7 +76,10 @@ def quantize_probs(p, K: int) -> np.ndarray:
     always find a deficit path.  A 1e-9 nudge absorbs float noise on values
     that are already exact multiples.
     """
+    check_count("K", K, low=1)
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("p holds non-finite values")
     counts = np.floor(p * K + 1e-9)
     return np.clip(counts, 0, K) / K
 
@@ -79,49 +95,53 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     first, are paired with distinct deficit paths in random order, and each
     hands its partner a uniformly chosen service the partner lacks.  All
     randomness comes from ``rng``, so a run is a pure function of its seed.
+    The new counts are the targets; the loads move by one per flipped cell
+    and per repair move.
     """
-    K, M = ensemble.K, ensemble.M
-    raw = np.asarray(p_quant, dtype=float) * K
-    target = np.rint(raw).astype(np.int64)
-    if raw.shape != (ensemble.N,):
+    K, M, N = ensemble.K, ensemble.M, ensemble.N
+    p = np.asarray(p_quant, dtype=float)
+    if p.shape != (N,):
         raise ValueError("p_quant length differs from the ensemble width")
-    if np.any(np.abs(raw - target) > 1e-6):
-        raise ValueError("targets are not multiples of 1/K; apply quantize_probs first")
-    if np.any(target < 0) or np.any(target > K):
+    if not np.isfinite(p).all():
+        raise ValueError("p_quant holds non-finite values")
+    # more than half a step of 1/K outside [0, 1] rounds to a count outside [0, K]
+    if p.min() < -0.5 / K or p.max() > 1 + 0.5 / K:
         raise ValueError("quantized probabilities outside [0, 1]")
+    raw = p * K
+    target = np.rint(raw)
+    if np.abs(raw - target).max() > 1e-6:
+        raise ValueError("targets are not multiples of 1/K; apply quantize_probs first")
+    target = target.astype(np.int64)
     if target.sum() > K * M:
         raise ValueError("quantized load exceeds K * M; quantize_probs not applied?")
     S = ensemble.S.copy()
-    # int32 counts of 0/1 entries are exact below 2^31 paths and services,
-    # and sum in half the time of int64 ones
-    current = S.sum(axis=0, dtype=np.int32)
+    loads = ensemble.loads.copy()
 
-    cols = np.flatnonzero(target != current)
+    cols = (target != ensemble.counts).nonzero()[0]
     if cols.size:
-        delta = target[cols] - current[cols]
-        need = np.abs(delta)
+        delta = target[cols] - ensemble.counts[cols]
         # a cell is eligible if vacant for an addition or occupied for a drop;
-        # masked cells sort last, so the first |delta| rows of a column's key
-        # order are a uniform subset of its eligible paths
+        # ineligible keys move to [1, 2) and sort last, so the |delta|
+        # smallest keys of a column (distinct uniform draws) pick a uniform
+        # subset of its eligible paths
+        block = S[:, cols]
         keys = rng.random((K, cols.size))
-        keys[S[:, cols] == (delta > 0)] = 2.0
-        if np.any((keys < 2.0).sum(axis=0) < need):
+        keys += block == (delta > 0)
+        cut = np.sort(keys, axis=0)[np.abs(delta) - 1, np.arange(cols.size)]
+        if cut.max() >= 1.0:
             raise RuntimeError("more additions requested than vacant paths; "
                                "ensemble invariants are broken")
-        order = np.argsort(keys, axis=0)
-        chosen = np.arange(K)[:, None] < need
-        S[order[chosen], cols[np.nonzero(chosen)[1]]] ^= 1
+        hit = keys <= cut
+        S[:, cols] = block ^ hit
+        loads += hit @ np.sign(delta)
 
     # Capacity repair: total load K * sum(pQ) <= K * M, so an overfull row
     # implies an underfull one, and every move shrinks the total overflow by
     # one; hence at most K * M moves.  A round's pairs share no path.
-    row_sums = S.sum(axis=1, dtype=np.int32)
-    over = np.flatnonzero(row_sums > M)
-    # zero-target columns are empty after the column step: scan the others
-    live = np.flatnonzero(target) if over.size else None
+    over = (loads > M).nonzero()[0]
     moves = 0
     while over.size:
-        deficits = np.flatnonzero(row_sums < M)
+        deficits = (loads < M).nonzero()[0]
         if deficits.size == 0:
             raise RuntimeError("no deficit path during rebalance; "
                                "ensemble invariants are broken")
@@ -129,20 +149,21 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
         src, dst = over[:pairs], rng.permutation(deficits)[:pairs]
         # an overfull path holds more services than a deficit one, so each
         # pair has at least one movable service; pick one per pair uniformly
-        occupied = S[:, live]
-        pair, movable = np.nonzero(occupied[src] > occupied[dst])
+        pair, movable = np.divmod(
+            (S.take(src, axis=0) > S.take(dst, axis=0)).ravel().nonzero()[0], N)
         counts = np.bincount(pair, minlength=pairs)
-        n2 = live[movable[np.cumsum(counts) - counts + rng.integers(counts)]]
+        n2 = movable[np.cumsum(counts) - counts + rng.integers(counts)]
         S[src, n2] = 0
         S[dst, n2] = 1
-        row_sums[src] -= 1
-        row_sums[dst] += 1
+        loads[src] -= 1
+        loads[dst] += 1
         moves += pairs
         if moves > K * M:
             raise RuntimeError("rebalance failed to terminate")
-        over = np.flatnonzero(row_sums > M)
+        over = (loads > M).nonzero()[0]
 
-    return SamplePathEnsemble(K=K, M=M, S=S, k_star=ensemble.k_star)
+    return SamplePathEnsemble(K=K, M=M, S=S, k_star=ensemble.k_star,
+                              counts=target, loads=loads)
 
 
 def expected_switching(ensembles) -> float:

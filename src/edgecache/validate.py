@@ -139,9 +139,11 @@ def check_window_parity(instances: int = 50, seed: int = 0) -> dict:
 def check_sampler(updates: int = 1000, seed: int = 0,
                   bound_seeds: int = 100) -> dict:
     """Ensemble invariants over random feasible targets, plus the insertion
-    bound: seed-averaged insertions <= 3 * total positive quantized motion."""
+    bound: seed-averaged insertions <= 3 * total positive quantized motion.
+    Marginals and capacity are recounted from ``S``; ``bad_sums`` counts
+    updates whose carried column or row sums differ from that recount."""
     rng = rng_stream(seed, "validate:sampler")
-    bad_marginal = bad_capacity = 0
+    bad_marginal = bad_capacity = bad_sums = 0
     done = 0
     while done < updates:
         K = int(rng.choice([4, 10, 50, 100]))
@@ -153,11 +155,14 @@ def check_sampler(updates: int = 1000, seed: int = 0,
             p = project_bounded_simplex(rng.uniform(-0.3, 1.3, size=n), M)
             pq = quantize_probs(p, K)
             ens = update_ensemble(ens, pq, rng)
-            if not np.array_equal(ens.column_counts(),
-                                  np.rint(pq * K).astype(np.int64)):
+            counts, loads = ens.column_counts(), ens.S.sum(axis=1)
+            if not np.array_equal(counts, np.rint(pq * K).astype(np.int64)):
                 bad_marginal += 1
-            if int(ens.S.sum(axis=1).max()) > M:
+            if int(loads.max()) > M:
                 bad_capacity += 1
+            if not (np.array_equal(ens.counts, counts)
+                    and np.array_equal(ens.loads, loads)):
+                bad_sums += 1
             done += 1
 
     # insertion bound, averaged over seeds on one fixed target sequence
@@ -179,9 +184,10 @@ def check_sampler(updates: int = 1000, seed: int = 0,
         totals.append(expected_switching(frames))
     mean_insertions = float(np.mean(totals))
     bound = 3.0 * motion * INSERTION_SLACK
-    ok = bad_marginal == 0 and bad_capacity == 0 and mean_insertions <= bound
+    ok = bad_marginal == bad_capacity == bad_sums == 0 and mean_insertions <= bound
     return {"pass": ok, "cases": updates, "bad_marginal": bad_marginal,
-            "bad_capacity": bad_capacity, "mean_insertions": mean_insertions,
+            "bad_capacity": bad_capacity, "bad_sums": bad_sums,
+            "mean_insertions": mean_insertions,
             "insertion_bound": bound}
 
 

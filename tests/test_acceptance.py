@@ -105,6 +105,7 @@ def test_criterion_4_sampler_invariants():
     result = check_sampler(updates=1000, seed=4, bound_seeds=100)
     assert result["bad_marginal"] == 0
     assert result["bad_capacity"] == 0
+    assert result["bad_sums"] == 0
     assert result["mean_insertions"] <= result["insertion_bound"]
     _report("criterion 4 (sampler invariants)",
             f"1000 updates exact, insertions {result['mean_insertions']:.2f} "

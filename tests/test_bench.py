@@ -146,15 +146,20 @@ def test_spec_validation():
     assert _tiny_spec(None, axis="W", values=[1.0, 3]).values == [1, 3]
 
 
-def test_noisy_rosc_with_exact_baselines(tmp_path):
+def test_noisy_forecasts_reach_rosc_and_baselines(tmp_path):
+    """One forecast rule in ``run`` and ``sweep``: at R > 0 the horizon-control
+    baselines get noisy forecasts too, so their cost moves with R."""
+    # at the paper's ratio of 200 rhc caches nothing on this trace, whatever
+    # its forecasts; at ratio 2 its plans follow them
     spec = _tiny_spec(tmp_path, policies=["rosc", "rhc"], axis="R",
                       values=[0.0, 0.8],
-                      workload_params={"N": 12, "T": 30, "U": 40})
+                      workload_params={"N": 12, "T": 30, "U": 40},
+                      base=dict(PAPER_DEFAULTS, M=2, W=2, K=5, ratio=2.0))
     report = run_experiment(spec, tmp_path / "noise")
     assert report["ok"]
     rhc0 = report["points"][0]["policies"]["rhc"]["total_cost_mean"]
     rhc1 = report["points"][1]["policies"]["rhc"]["total_cost_mean"]
-    assert rhc0 == pytest.approx(rhc1)  # baselines see exact forecasts by default
+    assert rhc0 != pytest.approx(rhc1)
     rosc0 = report["points"][0]["policies"]["rosc"]["total_cost_mean"]
     rosc1 = report["points"][1]["policies"]["rosc"]["total_cost_mean"]
     assert rosc0 != rosc1  # the randomized policy does consume the noise

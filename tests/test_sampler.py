@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -176,7 +177,8 @@ def test_update_rejects_unquantized_targets():
 
 def test_wide_update_keeps_every_invariant():
     """N=1000, K=100, M=10: after each of 50 updates the column counts hit
-    the target, every path fits, the input is untouched, and the step
+    the target, every path fits, the carried sums equal a recount of S, the
+    input (S and its sums) is untouched, and the step
     inserts exactly the positive column deltas plus the overflow the column
     step left.  The column step ignores M and draws first, so an uncapped
     run on a copy of the generator shows the state before the repair."""
@@ -189,11 +191,16 @@ def test_wide_update_keeps_every_invariant():
         before = ens.S.copy()
         uncapped = dataclasses.replace(ens, M=N)
         mid = update_ensemble(uncapped, pq, copy.deepcopy(rng)).S
+        counts, loads = ens.counts.copy(), ens.loads.copy()
         nxt = update_ensemble(ens, pq, rng)
         target = np.rint(pq * K).astype(np.int64)
         assert np.array_equal(nxt.column_counts(), target)
         assert nxt.S.sum(axis=1).max() <= M
+        assert np.array_equal(nxt.counts, nxt.S.sum(axis=0))
+        assert np.array_equal(nxt.loads, nxt.S.sum(axis=1))
         assert np.array_equal(ens.S, before)
+        assert np.array_equal(ens.counts, counts)
+        assert np.array_equal(ens.loads, loads)
         positive = np.maximum(target - before.sum(axis=0), 0).sum()
         overflow = np.maximum(mid.sum(axis=1) - M, 0).sum()
         inserted = np.count_nonzero(mid > before) + np.count_nonzero(nxt.S > mid)
@@ -220,3 +227,43 @@ def test_column_step_picks_paths_uniformly(add):
     p = 1 / eligible.size
     freq = hits[eligible] / runs
     assert np.all(np.abs(freq - p) <= 3 * np.sqrt(p * (1 - p) / runs))
+
+
+def test_explicit_ensemble_derives_its_sums():
+    S = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
+    ens = SamplePathEnsemble(K=2, M=2, S=S, k_star=0)
+    assert ens.counts.tolist() == [1, 0, 2]
+    assert ens.loads.tolist() == [2, 1]
+    nxt = update_ensemble(ens, np.array([0.5, 0.5, 0.5]), rng_stream(0, "test:explicit"))
+    assert np.array_equal(nxt.counts, nxt.S.sum(axis=0))
+    assert np.array_equal(nxt.loads, nxt.S.sum(axis=1))
+    assert ens.counts.tolist() == [1, 0, 2] and ens.loads.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_probs(np.array([0.5, bad]), 10)
+
+
+@pytest.mark.parametrize("K", [0, -3, 2.5, "10"])
+def test_quantize_refuses_bad_K(K):
+    with pytest.raises(ValueError, match="K must be"):
+        quantize_probs(np.array([0.5]), K)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_update_refuses_non_finite_targets(bad):
+    """The refusal names the non-finite value and comes before any cast, so
+    no RuntimeWarning is raised on the way."""
+    ens = SamplePathEnsemble.initial(K=4, N=2, M=1, k_star=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            update_ensemble(ens, np.array([0.5, bad]), rng_stream(0, "x"))
+
+
+@pytest.mark.parametrize("kw", [{"K": 4.0}, {"M": 1.5}, {"K": "4"}, {"M": np.float64(1)}])
+def test_initial_refuses_non_integer_sizes(kw):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SamplePathEnsemble.initial(**{"K": 4, "N": 3, "M": 1, "k_star": 0, **kw})
