@@ -80,8 +80,7 @@ def quantize_probs(p, K: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("p holds non-finite values")
-    counts = np.floor(p * K + 1e-9)
-    return np.clip(counts, 0, K) / K
+    return np.floor(np.clip(p, 0, 1) * K + 1e-9) / K
 
 
 def update_ensemble(ensemble: SamplePathEnsemble, p_quant,

@@ -26,6 +26,8 @@ def test_rng_stream_seeds_from_seed_and_label_bytes(label):
 def test_quantize_examples():
     assert quantize_probs(np.array([0.237]), 100)[0] == pytest.approx(0.23)
     assert quantize_probs(np.array([1.0]), 100)[0] == 1.0
+    # finite values far outside [0, 1] clip without overflowing p * K
+    assert quantize_probs(np.array([1e308, -1e308, 1.5]), 100).tolist() == [1.0, 0.0, 1.0]
     np.testing.assert_allclose(quantize_probs(np.array([0.55, 0.45]), 10),
                                [0.5, 0.4])
 
