@@ -6,8 +6,8 @@ from .model import (ArrivalTrace, CostModel, DimensionError, RunRecord,
                     load_trace, save_trace)
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .gradient_pgd import aux_cost_total, g_vec, offline_pgd
-from .sampler import (SamplePathEnsemble, decision_at, expected_switching,
-                      quantize_probs, rng_stream, update_ensemble)
+from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
+                      update_ensemble)
 from .rosc import RoscConfig, fractional_trace, run_rosc
 from .baselines import (InstanceTooLargeError, chc_policy, exact_opt_dp,
                         pseudo_opt, rhc_policy, sopt_policy)

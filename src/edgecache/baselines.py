@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from .gradient_pgd import offline_pgd
-from .model import (ArrivalTrace, CostModel, RunRecord, per_slot_costs,
-                    running_total)
+from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
+                    per_slot_costs, running_total)
 from .workloads import PredictionOracle
 
 
@@ -66,6 +66,7 @@ def _horizon_plans(trace: ArrivalTrace, cost: CostModel, W: int,
     """Yield slot t's window plan for t = 1 .. T, each solved from the
     first row of the plan before it (the RHC path).  The window holds slots
     t .. min(t + W - 1, T): trace rows, or forecasts made at t."""
+    check_count("W", W)
     if W < 1:
         raise ValueError("horizon control needs a window of at least one slot")
     x_prev = np.zeros(trace.N)
@@ -173,6 +174,7 @@ def pseudo_opt(trace: ArrivalTrace, cost: CostModel, W_big: int = 300) -> RunRec
     """Fractional approximation of the dynamic optimum: many synchronous
     PGD sweeps over the whole horizon, costed fractionally.  A relaxation,
     so it can dip below the true integer optimum."""
+    check_count("W_big", W_big, low=0)
     t0 = time.perf_counter()
     probs = offline_pgd(trace, cost, W_big)
     runtime_ms = (time.perf_counter() - t0) * 1e3

@@ -157,19 +157,18 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> Run
     (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
     (default 300).  Every forecasting policy (``rosc``, ``rhc``, ``chc``)
     sees forecasts with noise weight R, seeded by ``seed``; the offline
-    policies ignore them.  A negative or non-finite R raises ``ValueError``."""
+    policies ignore them.  A negative or non-finite R, or a size that is not
+    an integer, raises ``ValueError``."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
     alpha = settings["alpha"]
     beta_star = settings.get("beta_star", settings["ratio"] * alpha)
-    cost = CostModel.uniform(alpha, beta_star, trace.N, int(settings["M"]),
+    cost = CostModel.uniform(alpha, beta_star, trace.N, settings["M"],
                              gamma=settings["gamma"])
-    R = float(settings.get("R", 0.0))
-    if not (math.isfinite(R) and R >= 0):
-        raise ValueError(f"noise weight R={R} must be finite and nonnegative")
-    oracle = PredictionOracle(trace, R=R, seed=seed) if R > 0 else None
-    return POLICIES[name](trace=trace, cost=cost, W=int(settings["W"]),
-                          K=int(settings["K"]), seed=seed, oracle=oracle,
+    R = settings.get("R", 0.0)
+    oracle = PredictionOracle(trace, R=R, seed=seed) if R != 0 else None
+    return POLICIES[name](trace=trace, cost=cost, W=settings["W"],
+                          K=settings["K"], seed=seed, oracle=oracle,
                           W_big=settings.get("W_big", 300))
 
 

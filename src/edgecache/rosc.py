@@ -24,8 +24,8 @@ import numpy as np
 from .gradient_pgd import pgd_window_update, sweep_buffers
 from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
                     running_total, slot_cost, top_m_indicator)
-from .sampler import (SamplePathEnsemble, decision_at, quantize_probs,
-                      rng_stream, update_ensemble)
+from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
+                      update_ensemble)
 from .workloads import PredictionOracle
 
 
@@ -82,7 +82,6 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     decisions = np.zeros((T, N), dtype=np.int8)
     forward = np.zeros(T)
     switch = np.zeros(T)
-    ens_insertions = 0
     prev_decision = np.zeros(N)
 
     t0 = time.perf_counter()
@@ -99,10 +98,8 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
 
     p_quant = quantize_probs(Q[1:], K)
     for t in range(T):
-        prev_S = ensemble.S
         ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
-        ens_insertions += int(np.count_nonzero(ensemble.S > prev_S))
-        x = decision_at(ensemble)
+        x = ensemble.S[k_star]  # a view: no update writes an S it was given
         decisions[t] = x
         forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
         prev_decision = x
@@ -120,7 +117,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
         extras={
             "fractional": Q[1:],
             "k_star": k_star,
-            "ensemble_insertions_per_path": ens_insertions / K,
+            "ensemble_insertions_per_path": ensemble.insertions / K,
         },
     )
 

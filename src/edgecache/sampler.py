@@ -5,8 +5,9 @@ probability mass 1/K; the policy follows one path, chosen uniformly once
 per run.  After every update the column means equal the quantized target
 probabilities exactly, every path respects the capacity M, and the number
 of per-path insertions stays proportional to the movement of the targets.
-An ensemble is a value that carries its column and row sums, so an update
-costs what changes, not K x N, and never alters its input.
+An ensemble is a value that carries its column and row sums and its
+insertion count, so an update costs what changes plus one scan for the
+count, and never alters its input.
 """
 
 from __future__ import annotations
@@ -34,16 +35,17 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
 @dataclass
 class SamplePathEnsemble:
     """K binary cache vectors of width N, capacity M per path, the index of
-    the path the policy follows, and the column and row sums of ``S``
-    (derived from ``S`` when not passed).  A value: ``update_ensemble``
-    never changes ``S`` in place, and a caller should not either."""
+    the path the policy follows, the column and row sums of ``S`` (derived
+    from ``S`` when not passed), and the cells that went 0 -> 1 over the
+    updates that produced it.  A value: ``update_ensemble`` never changes
+    ``S`` in place, and a caller should not either."""
 
-    K: int
     M: int
     S: np.ndarray        # (K, N) int8 in {0, 1}
     k_star: int          # 0-based row the policy follows
     counts: np.ndarray | None = None   # (N,) int64 column sums of S
     loads: np.ndarray | None = None    # (K,) int64 row sums of S
+    insertions: int = 0
 
     def __post_init__(self):
         if self.counts is None or self.loads is None:
@@ -57,15 +59,15 @@ class SamplePathEnsemble:
             raise ValueError("k_star outside [0, K)")
         if not (1 <= M <= N):
             raise ValueError(f"M={M} outside [1, N={N}]")
-        return cls(K=K, M=M, S=np.zeros((K, N), dtype=np.int8), k_star=k_star)
+        return cls(M=M, S=np.zeros((K, N), dtype=np.int8), k_star=k_star)
+
+    @property
+    def K(self) -> int:
+        return int(self.S.shape[0])
 
     @property
     def N(self) -> int:
         return int(self.S.shape[1])
-
-    def column_counts(self) -> np.ndarray:
-        """Column sums recounted from ``S``, independent of ``counts``."""
-        return self.S.sum(axis=0, dtype=np.int64)
 
 
 def quantize_probs(p, K: int) -> np.ndarray:
@@ -95,7 +97,7 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
     hands its partner a uniformly chosen service the partner lacks.  All
     randomness comes from ``rng``, so a run is a pure function of its seed.
     The new counts are the targets; the loads move by one per flipped cell
-    and per repair move.
+    and per repair move; the insertions grow by the cells that went 0 -> 1.
     """
     K, M, N = ensemble.K, ensemble.M, ensemble.N
     p = np.asarray(p_quant, dtype=float)
@@ -161,21 +163,7 @@ def update_ensemble(ensemble: SamplePathEnsemble, p_quant,
             raise RuntimeError("rebalance failed to terminate")
         over = (loads > M).nonzero()[0]
 
-    return SamplePathEnsemble(K=K, M=M, S=S, k_star=ensemble.k_star,
-                              counts=target, loads=loads)
-
-
-def expected_switching(ensembles) -> float:
-    """Ensemble-average insertion count over a run.
-
-    (1/K) * sum over slots, paths and services of positive flips, starting
-    from the all-empty ensemble.
-    """
-    S = np.stack([ens.S for ens in ensembles])
-    return int(np.maximum(np.diff(S, axis=0, prepend=0), 0).sum()) / ensembles[0].K
-
-
-def decision_at(ensemble: SamplePathEnsemble) -> np.ndarray:
-    """The binary cache vector of the followed path."""
-    return ensemble.S[ensemble.k_star].copy()
+    return SamplePathEnsemble(
+        M=M, S=S, k_star=ensemble.k_star, counts=target, loads=loads,
+        insertions=ensemble.insertions + int(np.count_nonzero(S > ensemble.S)))
 

@@ -15,8 +15,8 @@ from .gradient_pgd import g_vec, offline_pgd
 from .model import ArrivalTrace, CostModel, path_length, top_m_indicator
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .rosc import RoscConfig, fractional_trace, run_rosc
-from .sampler import (SamplePathEnsemble, expected_switching, quantize_probs,
-                      rng_stream, update_ensemble)
+from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
+                      update_ensemble)
 from .bench import regret_bound, theorem_cost
 from .workloads import PredictionOracle
 
@@ -141,7 +141,8 @@ def check_sampler(updates: int = 1000, seed: int = 0,
     """Ensemble invariants over random feasible targets, plus the insertion
     bound: seed-averaged insertions <= 3 * total positive quantized motion.
     Marginals and capacity are recounted from ``S``; ``bad_sums`` counts
-    updates whose carried column or row sums differ from that recount."""
+    updates whose carried column or row sums or insertion count differ from
+    that recount."""
     rng = rng_stream(seed, "validate:sampler")
     bad_marginal = bad_capacity = bad_sums = 0
     done = 0
@@ -154,15 +155,18 @@ def check_sampler(updates: int = 1000, seed: int = 0,
         for _ in range(steps):
             p = project_bounded_simplex(rng.uniform(-0.3, 1.3, size=n), M)
             pq = quantize_probs(p, K)
-            ens = update_ensemble(ens, pq, rng)
-            counts, loads = ens.column_counts(), ens.S.sum(axis=1)
+            nxt = update_ensemble(ens, pq, rng)
+            counts, loads = nxt.S.sum(axis=0), nxt.S.sum(axis=1)
             if not np.array_equal(counts, np.rint(pq * K).astype(np.int64)):
                 bad_marginal += 1
             if int(loads.max()) > M:
                 bad_capacity += 1
-            if not (np.array_equal(ens.counts, counts)
-                    and np.array_equal(ens.loads, loads)):
+            if not (np.array_equal(nxt.counts, counts)
+                    and np.array_equal(nxt.loads, loads)
+                    and nxt.insertions - ens.insertions
+                    == np.count_nonzero(nxt.S > ens.S)):
                 bad_sums += 1
+            ens = nxt
             done += 1
 
     # insertion bound, averaged over seeds on one fixed target sequence
@@ -177,11 +181,9 @@ def check_sampler(updates: int = 1000, seed: int = 0,
     for s in range(bound_seeds):
         run_rng = rng_stream(seed + 1000 + s, "validate:sampler-run")
         ens = SamplePathEnsemble.initial(K, n, M, k_star=0)
-        frames = []
         for pq in targets:
             ens = update_ensemble(ens, pq, run_rng)
-            frames.append(ens)
-        totals.append(expected_switching(frames))
+        totals.append(ens.insertions / K)
     mean_insertions = float(np.mean(totals))
     bound = 3.0 * motion * INSERTION_SLACK
     ok = bad_marginal == bad_capacity == bad_sums == 0 and mean_insertions <= bound

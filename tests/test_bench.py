@@ -163,3 +163,16 @@ def test_noisy_forecasts_reach_rosc_and_baselines(tmp_path):
     rosc0 = report["points"][0]["policies"]["rosc"]["total_cost_mean"]
     rosc1 = report["points"][1]["policies"]["rosc"]["total_cost_mean"]
     assert rosc0 != rosc1  # the randomized policy does consume the noise
+
+
+@pytest.mark.parametrize("policy, key, value", [
+    ("rosc", "M", 2.5), ("rosc", "W", 2.5), ("rosc", "K", 10.7),
+    ("rhc", "W", 2.5), ("chc", "W", 2.5), ("pseudo-opt", "W_big", 2.5),
+])
+def test_run_policy_refuses_non_integer_sizes(policy, key, value):
+    """A fractional size is refused by name, never truncated into a run
+    whose record would report the truncated value."""
+    trace = ArrivalTrace(lam=np.arange(24.0).reshape(6, 4))
+    settings = {**PAPER_DEFAULTS, "M": 2, "W": 2, "K": 5, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        run_policy(policy, trace, settings, seed=0)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from edgecache.projection import project_bounded_simplex
-from edgecache.sampler import (SamplePathEnsemble, decision_at,
-                               expected_switching, quantize_probs,
+from edgecache.sampler import (SamplePathEnsemble, quantize_probs,
                                rng_stream, update_ensemble)
 
 
@@ -47,10 +46,6 @@ def test_quantize_properties():
         np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
 
 
-def _counts(ens):
-    return ens.column_counts()
-
-
 def test_update_reaches_exact_marginals_and_capacity():
     rng = rng_stream(1, "test:update")
     ens = SamplePathEnsemble.initial(K=10, N=6, M=2, k_star=3)
@@ -58,7 +53,7 @@ def test_update_reaches_exact_marginals_and_capacity():
         p = project_bounded_simplex(rng.uniform(-0.4, 1.4, 6), 2)
         pq = quantize_probs(p, 10)
         ens = update_ensemble(ens, pq, rng)
-        assert np.array_equal(_counts(ens), np.rint(pq * 10).astype(np.int64))
+        assert np.array_equal(ens.S.sum(axis=0), np.rint(pq * 10).astype(np.int64))
         assert ens.S.sum(axis=1).max() <= 2
 
 
@@ -84,8 +79,7 @@ def test_two_path_swap_case_every_resolution():
         nxt = update_ensemble(ens, np.array([0.5, 0.5]), rng)
         assert sorted(map(tuple, nxt.S.tolist())) == [(0, 1), (1, 0)]
         assert nxt.S.sum(axis=1).max() <= 1
-        step_insertions = np.maximum(nxt.S - ens.S, 0).sum() / nxt.K
-        assert step_insertions == 0.5
+        assert (nxt.insertions - ens.insertions) / nxt.K == 0.5
 
 
 def test_three_quarters_on_four_paths():
@@ -96,11 +90,16 @@ def test_three_quarters_on_four_paths():
 
 
 def test_expected_switching_static_and_fresh():
+    """From the empty ensemble every occupied cell is an insertion; updates
+    to unchanged targets add none."""
     ens = SamplePathEnsemble.initial(K=4, N=3, M=2, k_star=0)
+    assert ens.insertions == 0
     rng = rng_stream(4, "test:es")
-    e1 = update_ensemble(ens, np.array([1.0, 0.5, 0.0]), rng)
-    assert expected_switching([e1, e1, e1]) == expected_switching([e1])
-    assert expected_switching([e1]) == pytest.approx((4 + 2) / 4)
+    pq = np.array([1.0, 0.5, 0.0])
+    e1 = update_ensemble(ens, pq, rng)
+    e3 = update_ensemble(update_ensemble(e1, pq, rng), pq, rng)
+    assert e3.insertions == e1.insertions
+    assert e1.insertions / e1.K == pytest.approx((4 + 2) / 4)
 
 
 def test_switching_bound_monte_carlo():
@@ -120,21 +119,19 @@ def test_switching_bound_monte_carlo():
     for s in range(120):
         rng = rng_stream(s, "test:bound-run")
         ens = SamplePathEnsemble.initial(K, n, M, k_star=0)
-        seq = []
         for pq in targets:
             ens = update_ensemble(ens, pq, rng)
-            seq.append(ens)
-        totals.append(expected_switching(seq))
+        totals.append(ens.insertions / K)
     assert np.mean(totals) <= 3.0 * motion * 1.05
 
 
 def test_decision_at_and_kstar():
     ens = SamplePathEnsemble.initial(K=3, N=2, M=1, k_star=1)
     ens.S[1, 1] = 1
-    assert decision_at(ens).tolist() == [0, 1]
+    assert ens.S[ens.k_star].tolist() == [0, 1]
     one = SamplePathEnsemble.initial(K=1, N=2, M=1, k_star=0)
     one.S[0, 0] = 1
-    assert decision_at(one).tolist() == [1, 0]
+    assert one.S[one.k_star].tolist() == [1, 0]
 
 
 def test_update_determinism():
@@ -165,7 +162,7 @@ def test_marginal_distribution_over_seeds():
         k_star = int(rng_stream(s, "test:marginal-k").integers(10))
         ens = SamplePathEnsemble.initial(K=10, N=3, M=1, k_star=k_star)
         ens = update_ensemble(ens, pq, rng)
-        hits += decision_at(ens)
+        hits += ens.S[ens.k_star]
     freq = hits / runs
     se = np.sqrt(pq * (1 - pq) / runs)
     assert np.all(np.abs(freq - pq) <= 3 * se)
@@ -179,8 +176,8 @@ def test_update_rejects_unquantized_targets():
 
 def test_wide_update_keeps_every_invariant():
     """N=1000, K=100, M=10: after each of 50 updates the column counts hit
-    the target, every path fits, the carried sums equal a recount of S, the
-    input (S and its sums) is untouched, and the step
+    the target, every path fits, the carried sums and insertion count equal
+    a recount of S, the input (S and its sums) is untouched, and the step
     inserts exactly the positive column deltas plus the overflow the column
     step left.  The column step ignores M and draws first, so an uncapped
     run on a copy of the generator shows the state before the repair."""
@@ -196,10 +193,11 @@ def test_wide_update_keeps_every_invariant():
         counts, loads = ens.counts.copy(), ens.loads.copy()
         nxt = update_ensemble(ens, pq, rng)
         target = np.rint(pq * K).astype(np.int64)
-        assert np.array_equal(nxt.column_counts(), target)
+        assert np.array_equal(nxt.S.sum(axis=0), target)
         assert nxt.S.sum(axis=1).max() <= M
         assert np.array_equal(nxt.counts, nxt.S.sum(axis=0))
         assert np.array_equal(nxt.loads, nxt.S.sum(axis=1))
+        assert nxt.insertions - ens.insertions == np.count_nonzero(nxt.S > ens.S)
         assert np.array_equal(ens.S, before)
         assert np.array_equal(ens.counts, counts)
         assert np.array_equal(ens.loads, loads)
@@ -221,7 +219,7 @@ def test_column_step_picks_paths_uniformly(add):
     pq = np.array([(occupied.sum() + step) / K])
     hits = np.zeros(K)
     for s in range(runs):
-        ens = SamplePathEnsemble(K=K, M=1, S=occupied[:, None].copy(), k_star=0)
+        ens = SamplePathEnsemble(M=1, S=occupied[:, None].copy(), k_star=0)
         nxt = update_ensemble(ens, pq, rng_stream(s, "test:column-uniform"))
         hits += np.abs(nxt.S[:, 0] - occupied)
     assert hits.sum() == runs
@@ -233,12 +231,14 @@ def test_column_step_picks_paths_uniformly(add):
 
 def test_explicit_ensemble_derives_its_sums():
     S = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
-    ens = SamplePathEnsemble(K=2, M=2, S=S, k_star=0)
+    ens = SamplePathEnsemble(M=2, S=S, k_star=0)
+    assert ens.K == 2 and ens.insertions == 0
     assert ens.counts.tolist() == [1, 0, 2]
     assert ens.loads.tolist() == [2, 1]
     nxt = update_ensemble(ens, np.array([0.5, 0.5, 0.5]), rng_stream(0, "test:explicit"))
     assert np.array_equal(nxt.counts, nxt.S.sum(axis=0))
     assert np.array_equal(nxt.loads, nxt.S.sum(axis=1))
+    assert nxt.insertions == np.count_nonzero(nxt.S > S)
     assert ens.counts.tolist() == [1, 0, 2] and ens.loads.tolist() == [2, 1]
 
 
