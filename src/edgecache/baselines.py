@@ -2,12 +2,18 @@
 offline optimum, the exact dynamic offline optimum (small instances), and a
 fractional stand-in for the dynamic optimum at scale.
 
-The horizon-control window problem couples services only through the
-capacity constraint, so RHC here solves an exact 2-state dynamic program
-per service and then repairs capacity per window slot by keeping the M
-services with the largest window cost saving (ties toward the lower
-index).  This is a heuristic relaxation of the joint integer program; its
-gap on tiny windows is measured in the test suite.
+Horizon control couples services only through the capacity constraint, so a
+window is an exact 2-state DP per service, then a capacity repair per window
+slot that keeps the M services with the largest window cost saving (ties
+toward the lower index): a heuristic relaxation of the joint integer program,
+whose gap on tiny windows the test suite measures.  The DP runs over blocks
+of about 8192 window-services, one window per slot and zero forwarding rows
+past the horizon.  A window's start enters only as each service's cost of
+being cached in its first slot, so a block is solved uncached on every
+service and cached on the candidate set: the services cached when the block
+starts or in some uncached plan's first row (repair only drops services).  A
+per-slot commit takes each service's plan for its start state and repairs
+capacity; ``rhc`` repairs its first row only.
 """
 
 from __future__ import annotations
@@ -22,61 +28,88 @@ from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
                     per_slot_costs, running_total)
 from .workloads import PredictionOracle
 
+BLOCK_SIZE = 8192                                   # window-services per DP block
+
 
 class InstanceTooLargeError(RuntimeError):
     """The exact dynamic program refuses instances over its budget."""
 
 
-def solve_rhc_window(lam_hat: np.ndarray, x_prev: np.ndarray,
-                     cost: CostModel) -> np.ndarray:
-    """Capacity-repaired window plan; row i is the plan for window slot i.
-
-    Per service: exact 0/1-state DP (forwarding while uncached, beta on a
-    0 -> 1 flip, evictions free).  Then per window slot, keep at most M
-    cached services, ranked by each service's DP saving over never caching.
-    """
-    span, N = lam_hat.shape
-    fwd = cost.alpha * lam_hat                      # forwarding cost per slot if uncached
-    g0, g1 = fwd[0], np.where(x_prev > 0, 0.0, cost.beta)
+def solve_rhc_window(fwd: np.ndarray, g1, beta: np.ndarray) -> tuple:
+    """Exact per-service 0/1-state DP over a (W, B, n) block of windows:
+    ``fwd[i, b]`` is window b's forwarding cost alpha * lam_hat in its slot i
+    (zero past the horizon), ``g1`` the cost of being cached in slot 0 (0 if
+    cached before the window, else beta); ties resolve to not caching.
+    Returns the (W, B, n) int8 plans and the (B, n) savings over never caching."""
+    W, g0 = fwd.shape[0], fwd[0]
     # from0[i] / from1[i]: the best way into state 0 / 1 at slot i leaves state 1
-    from0 = np.zeros((span, N), dtype=bool)
-    from1 = np.zeros((span, N), dtype=bool)
-    for i in range(1, span):
-        from0[i], from1[i] = g1 < g0, g1 <= g0 + cost.beta
-        g0, g1 = np.minimum(g0, g1) + fwd[i], np.minimum(g1, g0 + cost.beta)
+    from0, from1 = np.empty((2,) + fwd.shape, dtype=bool)
+    for i in range(1, W):
+        up = g0 + beta
+        from0[i], from1[i] = g1 < g0, g1 <= up
+        g0, g1 = np.minimum(g0, g1) + fwd[i], np.minimum(g1, up)
 
-    plan = np.empty((span, N), dtype=np.int8)
-    state = g1 < g0                                 # ties resolve to not caching
-    plan[span - 1] = state
-    for i in range(span - 1, 0, -1):
+    plan = np.empty(fwd.shape, dtype=np.int8)
+    plan[W - 1] = state = g1 < g0
+    for i in range(W - 1, 0, -1):
         state = np.where(state, from1[i], from0[i])
         plan[i - 1] = state
+    return plan, fwd.sum(axis=0) - np.minimum(g0, g1)
 
-    if plan.sum(axis=1).max() > cost.M:
-        saving = fwd.sum(axis=0) - np.minimum(g0, g1)
-        order = np.lexsort((np.arange(N), -saving))
-        ranked = plan[:, order]
-        ranked[np.cumsum(ranked, axis=1) > cost.M] = 0
-        plan[:, order] = ranked
+
+def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
+    """Keep at most M cached services in each row of ``plan``, in place:
+    those with the largest saving, ties toward the lower index."""
+    order = np.argsort(-saving, kind="stable")
+    ranked = plan[:, order]
+    ranked[np.cumsum(ranked, axis=1) > M] = 0
+    plan[:, order] = ranked
     return plan
 
 
-def _horizon_plans(trace: ArrivalTrace, cost: CostModel, W: int,
-                   predictions: PredictionOracle | None):
-    """Yield slot t's window plan for t = 1 .. T, each solved from the
-    first row of the plan before it (the RHC path).  The window holds slots
-    t .. min(t + W - 1, T): trace rows, or forecasts made at t."""
+def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
+    """Capacity-repaired plan of one window from the cache ``x_prev``, row i
+    for window slot i: a one-window block and the commit."""
+    plan, saving = solve_rhc_window((cost.alpha * lam_hat)[:, None],
+                                    np.where(x_prev > 0, 0.0, cost.beta), cost.beta)
+    return _repair(plan[:, 0], saving[0], cost.M)
+
+
+def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
+                     predictions: PredictionOracle | None, rows: int):
+    """Yield (t - 1, the first ``rows`` rows of window t's repaired plan) for
+    t = 1 .. T.  Window t holds slots t .. min(t + W - 1, T), as trace rows or
+    forecasts made at t, and starts from the first row of the plan before."""
     check_count("W", W)
     if W < 1:
         raise ValueError("horizon control needs a window of at least one slot")
-    x_prev = np.zeros(trace.N)
-    for t in range(1, trace.T + 1):
-        span = min(W, trace.T - t + 1)
-        lam_hat = (trace.lam[t - 1: t - 1 + span] if predictions is None
-                   else predictions.predict_window(t, span))
-        plan = solve_rhc_window(lam_hat, x_prev, cost)
-        yield plan
-        x_prev = plan[0]
+    T, N = trace.T, trace.N
+    B, x_prev = max(1, BLOCK_SIZE // N), np.zeros(N, dtype=bool)
+    for t0 in range(0, T, B):
+        nb = min(B, T - t0)
+        fwd = np.zeros((W, nb, N))
+        if predictions is None:
+            for i in range(W):
+                lam = trace.lam[t0 + i: t0 + i + nb]      # windows whose slot i is in T
+                np.multiply(lam, cost.alpha, out=fwd[i, :len(lam)])
+        else:
+            for b in range(nb):
+                span = min(W, T - t0 - b)
+                np.multiply(predictions.predict_window(t0 + b + 1, span), cost.alpha,
+                            out=fwd[:span, b])
+        plan0, saving0 = solve_rhc_window(fwd, cost.beta, cost.beta)
+        C = np.flatnonzero(x_prev | plan0[0].any(axis=0))
+        plan1, saving1 = plan0[:rows].copy(), saving0.copy()
+        cached, saving1[:, C] = solve_rhc_window(fwd[..., C], 0.0, cost.beta[C])
+        plan1[..., C] = cached[:rows]
+        for b in range(nb):
+            plan = plan0[:rows, b].copy()                 # each service's plan
+            np.copyto(plan, plan1[:, b], where=x_prev)    # for its start state
+            # staying cached is free, so a plan's later rows only drop services
+            if np.count_nonzero(plan[0]) > cost.M:
+                _repair(plan, np.where(x_prev, saving1[b], saving0[b]), cost.M)
+            yield t0 + b, plan
+            x_prev = plan[0].view(bool)
 
 
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
@@ -84,7 +117,7 @@ def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
     """Receding horizon control: re-plan every slot, commit only the first."""
     decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
-    for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
+    for t, plan in _horizon_control(trace, cost, W, predictions, rows=1):
         decisions[t] = plan[0]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("rhc", trace, decisions, cost, runtime_ms,
@@ -95,14 +128,12 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
     """Committed horizon control: slot t's decision is the average of the
     last W window plans' entries for slot t, costed fractionally."""
-    decisions = np.zeros((trace.T, trace.N))
-    plans: list = []                                # oldest first; the last was made at t
+    decisions = np.zeros((trace.T, trace.N))        # the vote sum, then its mean
     t0 = time.perf_counter()
-    for t, plan in enumerate(_horizon_plans(trace, cost, W, predictions)):
-        plans = (plans + [plan])[-W:]
-        # the plan made k slots before t holds slot t in its row k
-        votes = [p[len(plans) - 1 - i] for i, p in enumerate(plans)]
-        decisions[t] = np.mean(votes, axis=0)
+    for t, plan in _horizon_control(trace, cost, W, predictions, rows=W):
+        # the plan made at t holds slot t + k in its row k
+        decisions[t: t + W] += plan[: trace.T - t]
+    decisions /= np.minimum(np.arange(1, trace.T + 1), W)[:, None]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("chc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "chc"})

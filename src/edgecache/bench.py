@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -194,6 +193,7 @@ def _run_point(spec: ExperimentSpec, value, seed: int, policy: str) -> dict:
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Execute the sweep, write the report files, return the report dict."""
+    from concurrent.futures import ProcessPoolExecutor  # only sweeps with jobs > 1 need it
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(spec, value, seed, policy) for value in spec.values

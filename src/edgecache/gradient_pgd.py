@@ -31,12 +31,11 @@ def g_vec(d, beta: np.ndarray, gamma: float, out=None, mask=None) -> np.ndarray:
     """Marginal surrogate switching cost of a raise d = b - a over the
     previous level a, elementwise: zero for d < 0, (6 beta / gamma) d on
     0 <= d <= gamma (the boundary d = gamma included), 3 beta beyond.
-    ``out`` (float) and ``mask`` (bool) are optional buffers shaped like d."""
-    out = np.multiply(d, 6.0 * beta / gamma, out=out)
-    mask = np.greater(d, gamma, out=mask)
-    np.copyto(out, 3.0 * beta, where=mask)
-    np.less(d, 0.0, out=mask)
-    np.copyto(out, 0.0, where=mask)
+    ``out`` (float) and ``mask`` (bool) are optional buffers shaped like d.
+    maximum(0.0, d) returns d on tied zeros, so d = -0.0 gives -0.0."""
+    out = np.maximum(0.0, d, out=out)
+    np.multiply(out, 6.0 * beta / gamma, out=out)
+    np.copyto(out, 3.0 * beta, where=np.greater(d, gamma, out=mask))
     return out
 
 

@@ -1,15 +1,20 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from edgecache import baselines
 from edgecache.baselines import (InstanceTooLargeError, chc_policy,
                                  exact_opt_dp, pseudo_opt, rhc_policy,
-                                 solve_rhc_window, sopt_policy)
-from edgecache.model import (ArrivalTrace, CostModel, top_m_indicator,
-                             total_cost_F)
+                                 rhc_window_plan, sopt_policy)
+from edgecache.model import (ArrivalTrace, CostModel, per_slot_costs,
+                             running_total, top_m_indicator, total_cost_F)
 from edgecache.rosc import RoscConfig, run_rosc
 from edgecache.sampler import rng_stream
+from edgecache.workloads import (PoissonParams, PredictionOracle,
+                                 ReplacementParams, SqrtChurnParams,
+                                 gen_poisson, gen_replacement, gen_sqrt_churn)
 
 
 def _cost(n, beta=10.0, M=1, alpha=0.05):
@@ -43,7 +48,7 @@ def brute_window(lam_hat, x_prev, cost):
 def test_rhc_window_dp_example():
     cost = _cost(1)
     lam_hat = np.array([[300.0], [10.0]])
-    plan = solve_rhc_window(lam_hat, np.zeros(1), cost)
+    plan = rhc_window_plan(lam_hat, np.zeros(1), cost)
     assert plan.tolist() == [[1], [1]]
     assert _window_cost(lam_hat, [0.0], plan, cost) == pytest.approx(10.0)
     # enumeration agrees: 15.5, 10.5, 25 for the other three trajectories
@@ -58,7 +63,7 @@ def test_rhc_threshold_behavior():
     for _ in range(30):
         W = int(rng.integers(1, 5))
         lam_hat = rng.uniform(0, 0.9 * cost.beta_star / cost.alpha / W, (W, 3))
-        plan = solve_rhc_window(lam_hat, np.zeros(3), cost)
+        plan = rhc_window_plan(lam_hat, np.zeros(3), cost)
         assert not plan.any()
 
 
@@ -66,10 +71,10 @@ def test_rhc_capacity_repair_noop_when_m_covers_n():
     rng = rng_stream(1, "test:repair")
     lam_hat = rng.poisson(100, (3, 4)).astype(float)
     cost = _cost(4, beta=2.0, M=4)
-    plan = solve_rhc_window(lam_hat, np.zeros(4), cost)
+    plan = rhc_window_plan(lam_hat, np.zeros(4), cost)
     # with M = N each service keeps its unconstrained DP trajectory
     for n in range(4):
-        single = solve_rhc_window(lam_hat[:, [n]], np.zeros(1),
+        single = rhc_window_plan(lam_hat[:, [n]], np.zeros(1),
                                   _cost(1, beta=2.0, M=1))
         assert plan[:, n].tolist() == single[:, 0].tolist()
 
@@ -84,7 +89,7 @@ def test_rhc_heuristic_matches_enumeration_on_tiny_windows():
         cost = _cost(n, beta=float(rng.uniform(1, 8)), M=M)
         lam_hat = rng.poisson(30, (span, n)).astype(float)
         x_prev = np.zeros(n)
-        plan = solve_rhc_window(lam_hat, x_prev, cost)
+        plan = rhc_window_plan(lam_hat, x_prev, cost)
         mine = _window_cost(lam_hat, x_prev, plan, cost)
         best, _ = brute_window(lam_hat, x_prev, cost)
         gaps.append(mine - best)
@@ -94,7 +99,7 @@ def test_rhc_heuristic_matches_enumeration_on_tiny_windows():
 
 
 def _rowwise_window(lam_hat, x_prev, cost):
-    """solve_rhc_window written row by row: int8 back pointers from
+    """rhc_window_plan written row by row: int8 back pointers from
     ``np.where`` pairs and a per-slot repair over a priority permutation.
     Also returns whether the repair dropped anything."""
     span, N = lam_hat.shape
@@ -143,12 +148,150 @@ def test_rhc_window_matches_rowwise_formulation_on_tie_heavy_windows():
                          M=int(rng.integers(1, max(2, n // 2) + 1)))
         lam_hat = rng.integers(0, 4, (span, n)).astype(float)
         x_prev = (rng.random(n) < 0.6).astype(float)
-        plan = solve_rhc_window(lam_hat, x_prev, cost)
+        plan = rhc_window_plan(lam_hat, x_prev, cost)
         expected, dropped = _rowwise_window(lam_hat, x_prev, cost)
         assert plan.dtype == np.int8
         assert np.array_equal(plan, expected)
         repaired += dropped
     assert repaired > 2000
+
+
+def _reference_plans(trace, cost, W, predictions):
+    """Horizon control one window per slot: window t holds slots
+    t .. min(t + W - 1, T) and starts from the first row of the plan
+    before it."""
+    x_prev = np.zeros(trace.N)
+    for t in range(1, trace.T + 1):
+        span = min(W, trace.T - t + 1)
+        lam_hat = (trace.lam[t - 1: t - 1 + span] if predictions is None
+                   else predictions.predict_window(t, span))
+        plan = rhc_window_plan(lam_hat, x_prev, cost)
+        yield plan
+        x_prev = plan[0]
+
+
+def _reference_rhc(trace, cost, W, predictions):
+    decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
+    for t, plan in enumerate(_reference_plans(trace, cost, W, predictions)):
+        decisions[t] = plan[0]
+    return decisions
+
+
+def _reference_chc(trace, cost, W, predictions):
+    decisions = np.zeros((trace.T, trace.N))
+    plans = []
+    for t, plan in enumerate(_reference_plans(trace, cost, W, predictions)):
+        plans = (plans + [plan])[-W:]
+        votes = [p[len(plans) - 1 - i] for i, p in enumerate(plans)]
+        decisions[t] = np.mean(votes, axis=0)
+    return decisions
+
+
+def _assert_matches_reference(trace, cost, W, R=0.0):
+    def oracle():
+        return None if R == 0.0 else PredictionOracle(trace, R=R, seed=5)
+
+    for policy, reference in ((rhc_policy, _reference_rhc),
+                              (chc_policy, _reference_chc)):
+        rec = policy(trace, cost, W, predictions=oracle())
+        want = reference(trace, cost, W, oracle())
+        assert rec.decisions.dtype == want.dtype
+        assert rec.decisions.tobytes() == want.tobytes()
+        fwd, sw = per_slot_costs(trace, want, cost)
+        assert rec.forward.tobytes() == fwd.tobytes()
+        assert rec.switch.tobytes() == sw.tobytes()
+        assert rec.total_cost == running_total(fwd, sw)
+
+
+def _tie_heavy(rng, T, N, M):
+    """Integer demands 0-3 at alpha = 0.05 and betas on the same grid."""
+    cost = CostModel(alpha=0.05, beta=rng.choice([0.05, 0.1, 0.15, 1.0], N), M=M)
+    return ArrivalTrace(lam=rng.integers(0, 4, (T, N)).astype(float)), cost
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """Count the capacity repairs the policies make."""
+    calls = []
+    repair = baselines._repair
+
+    def counted(plan, saving, M):
+        calls.append(plan.shape[0])
+        return repair(plan, saving, M)
+
+    monkeypatch.setattr(baselines, "_repair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 7])
+def test_horizon_control_matches_the_per_slot_loop_on_tie_heavy_traces(
+        W, monkeypatch, repairs):
+    """Blocks of 1 to 5 windows and one block of all; T below W, at W, and
+    not a multiple of the block; exact and noisy forecasts."""
+    rng = rng_stream(10 + W, "test:block-vs-loop")
+    for T in (1, W - 1, W, 11, 23):
+        for windows_per_block in (1, 2, 5, None):
+            if T < 1:
+                continue
+            N = int(rng.integers(2, 9))
+            trace, cost = _tie_heavy(rng, T, N, int(rng.integers(1, max(2, N // 2) + 1)))
+            monkeypatch.setattr(baselines, "BLOCK_SIZE",
+                                8192 if windows_per_block is None else windows_per_block * N)
+            _assert_matches_reference(trace, cost, W)
+            _assert_matches_reference(trace, cost, W, R=0.3)
+    assert len(repairs) > 20
+
+
+def test_horizon_control_matches_the_per_slot_loop_across_wide_blocks(repairs):
+    """N = 3000 puts two windows in a block, so the cache and the candidate
+    set carry across four block boundaries."""
+    rng = rng_stream(20, "test:wide-blocks")
+    trace, cost = _tie_heavy(rng, 9, 3000, 40)
+    assert 8192 // trace.N == 2
+    for W in (1, 3):
+        _assert_matches_reference(trace, cost, W)
+    _assert_matches_reference(trace, cost, 3, R=0.2)
+    assert len(repairs) > 20
+
+
+def test_first_row_only_rhc_is_row_zero_of_the_repaired_plan(repairs):
+    """rhc repairs the first row alone; the repair ranks every row the same
+    way, so that row equals the first row of the fully repaired plan."""
+    rng = rng_stream(21, "test:first-row")
+    for W in (2, 3, 7):
+        trace, cost = _tie_heavy(rng, 40, 8, 2)
+        first = list(baselines._horizon_control(trace, cost, W, None, rows=1))
+        assert repairs
+        full = list(baselines._horizon_control(trace, cost, W, None, rows=W))
+        for (t, row), (u, plan) in zip(first, full, strict=True):
+            assert t == u and row.shape == (1, trace.N) and plan.shape == (W, trace.N)
+            assert row.tobytes() == plan[:1].tobytes()
+        repairs.clear()
+
+
+# SHA-256 of rhc's and chc's decisions, per-slot costs and totals on the six
+# instances below, exact and noisy; computed before horizon control was
+# solved in blocks of windows.
+HORIZON_OUTPUT_DIGEST = "b2d5c15aa61323501960b316c8e704f3651361aead07231188e90434442cec2f"
+
+
+def test_horizon_control_outputs_are_byte_identical_per_seed():
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        for trace, M, W in (
+                (gen_replacement(ReplacementParams(N=24, T=40, U=60,
+                                                   rank_lifetime_mean=5.0), seed), 4, 3),
+                (gen_poisson(PoissonParams(N=60, T=40, groups=((5, 2.0), (30, 0.5))),
+                             seed), 5, 7),
+                (gen_sqrt_churn(SqrtChurnParams(N=12, T=40, M=3), seed), 3, 4)):
+            cost = CostModel.uniform(0.05, 2.0, trace.N, M)
+            for policy in (rhc_policy, chc_policy):
+                for predictions in (None, PredictionOracle(trace, R=0.1, seed=seed)):
+                    rec = policy(trace, cost, W, predictions=predictions)
+                    for a in (rec.decisions, rec.forward, rec.switch):
+                        digest.update(np.ascontiguousarray(a).tobytes())
+                    digest.update(repr(rec.total_cost).encode())
+    assert digest.hexdigest() == HORIZON_OUTPUT_DIGEST
 
 
 def test_rhc_w1_tiny_beta_tracks_top_m():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret,
                              run_policy, make_trace, theorem_cost)
 from edgecache.model import ArrivalTrace, CostModel
 from edgecache.rosc import RoscConfig, run_rosc
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_regret_examples():
@@ -126,6 +132,20 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     for policy in ("rosc", "sopt"):
         assert pa[policy]["total_cost_mean"] == pytest.approx(
             pb[policy]["total_cost_mean"])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool is imported inside ``run_experiment``, only for jobs > 1."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, edgecache; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_spec_validation():

@@ -62,8 +62,8 @@ def test_every_binding_is_present(traced):
 @pytest.mark.parametrize("root, expected", [
     ("rosc", {"model.seed": 1, "gradient_pgd.window": W, "projection": W,
               "sampler.quantize": 1, "sampler.update": T, "model.costing": T}),
-    ("rhc", {"workloads.forecast": T, "baselines.solve": T, "model.costing": 1}),
-    ("chc", {"workloads.forecast": T, "baselines.solve": T, "model.costing": 1}),
+    ("rhc", {"workloads.forecast": T, "baselines.solve": 2, "model.costing": 1}),
+    ("chc", {"workloads.forecast": T, "baselines.solve": 2, "model.costing": 1}),
     ("pseudo_opt", {"gradient_pgd.offline": 1, "projection": SWEEPS,
                     "model.costing": 1}),
 ])

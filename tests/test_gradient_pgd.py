@@ -35,6 +35,32 @@ def test_g_vec_branchwise_monotone():
     assert np.all(vals[~below] == 3 * beta)
 
 
+
+def _g_vec_five_passes(d, beta, gamma):
+    """g_vec as it was first written: multiply, then overwrite the raises
+    above gamma with 3 beta and the negative ones with 0."""
+    out = np.multiply(d, 6.0 * beta / gamma)
+    np.copyto(out, 3.0 * beta, where=np.greater(d, gamma))
+    np.copyto(out, 0.0, where=np.less(d, 0.0))
+    return out
+
+
+def test_g_vec_is_bitwise_the_five_pass_form():
+    rng = rng_stream(3, "test:gvec-bits")
+    gamma = 0.05
+    edges = np.array([0.0, -0.0, gamma, np.nextafter(gamma, 1.0),
+                      np.nextafter(gamma, 0.0), -5e-324, 5e-324, -1e-300,
+                      1e-300, -1e-17, 1e300, -1e300, 1.0, -1.0])
+    d = np.concatenate([edges, rng.uniform(-1.5, 1.5, 396),
+                        rng.uniform(-2 * gamma, 2 * gamma, 400)]).reshape(-1, 9)
+    for beta in (np.full(9, 10.0), rng.uniform(0.01, 50.0, 9)):
+        want = _g_vec_five_passes(d, beta, gamma).tobytes()
+        assert g_vec(d, beta, gamma).tobytes() == want
+        out, mask = np.empty_like(d), np.empty(d.shape, dtype=bool)
+        assert g_vec(d, beta, gamma, out=out, mask=mask) is out
+        assert out.tobytes() == want
+    assert np.signbit(g_vec(np.array([-0.0]), np.ones(1), gamma))[0]
+
 def _cost(n, beta=10.0, gamma=0.05, alpha=0.05, M=None):
     return CostModel.uniform(alpha, beta, n, M if M is not None else max(1, n // 2),
                              gamma=gamma)
