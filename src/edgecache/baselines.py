@@ -90,7 +90,7 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         fwd = np.zeros((W, nb, N))
         if predictions is None:
             for i in range(W):
-                lam = trace.lam[t0 + i: t0 + i + nb]      # windows whose slot i is in T
+                lam = trace.lam[t0 + i: t0 + i + nb]      # the windows whose slot i is <= T
                 np.multiply(lam, cost.alpha, out=fwd[i, :len(lam)])
         else:
             for b in range(nb):
