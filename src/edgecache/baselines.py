@@ -4,16 +4,14 @@ fractional stand-in for the dynamic optimum at scale.
 
 Horizon control couples services only through the capacity constraint, so a
 window is an exact 2-state DP per service, then a capacity repair per window
-slot that keeps the M services with the largest window cost saving (ties
-toward the lower index): a heuristic relaxation of the joint integer program,
-whose gap on tiny windows the test suite measures.  The DP runs over blocks
-of about 8192 window-services, one window per slot and zero forwarding rows
-past the horizon.  A window's start enters only as each service's cost of
-being cached in its first slot, so a block is solved uncached on every
-service and cached on the candidate set: the services cached when the block
-starts or in some uncached plan's first row (repair only drops services).  A
-per-slot commit takes each service's plan for its start state and repairs
-capacity; ``rhc`` repairs its first row only.
+slot that keeps the M services with the largest window cost saving (ties toward
+the lower index): a heuristic relaxation of the joint integer program, whose
+gap on tiny windows the test suite measures.  Forwarding costs are never
+negative, so the DP has a closed form.  It runs over blocks of about 8192
+window-services, one window per slot and zero forwarding rows past the horizon,
+once uncached and once cached: a window's start is only its cost of being
+cached in its first slot.  A per-slot commit takes each service's plan for its
+start and repairs capacity; ``rhc`` repairs its first row only.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .gradient_pgd import offline_pgd
 from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
-                    per_slot_costs, running_total)
+                    check_width, per_slot_costs, running_total)
 from .workloads import PredictionOracle
 
 BLOCK_SIZE = 8192                                   # window-services per DP block
@@ -35,26 +33,22 @@ class InstanceTooLargeError(RuntimeError):
     """The exact dynamic program refuses instances over its budget."""
 
 
-def solve_rhc_window(fwd: np.ndarray, g1, beta: np.ndarray) -> tuple:
+def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     """Exact per-service 0/1-state DP over a (W, B, n) block of windows:
     ``fwd[i, b]`` is window b's forwarding cost alpha * lam_hat in its slot i
     (zero past the horizon), ``g1`` the cost of being cached in slot 0 (0 if
     cached before the window, else beta); ties resolve to not caching.
+    As ``fwd >= 0`` (arrivals, clipped forecasts, alpha > 0), being cached
+    through any slot costs ``g1``, so the DP is ``g0``, the cost through a slot
+    ending uncached, and a plan caches slot i if g1 < g0 in some slot >= i.
     Returns the (W, B, n) int8 plans and the (B, n) savings over never caching."""
-    W, g0 = fwd.shape[0], fwd[0]
-    # from0[i] / from1[i]: the best way into state 0 / 1 at slot i leaves state 1
-    from0, from1 = np.empty((2,) + fwd.shape, dtype=bool)
-    for i in range(1, W):
-        up = g0 + beta
-        from0[i], from1[i] = g1 < g0, g1 <= up
-        g0, g1 = np.minimum(g0, g1) + fwd[i], np.minimum(g1, up)
-
-    plan = np.empty(fwd.shape, dtype=np.int8)
-    plan[W - 1] = state = g1 < g0
-    for i in range(W - 1, 0, -1):
-        state = np.where(state, from1[i], from0[i])
-        plan[i - 1] = state
-    return plan, fwd.sum(axis=0) - np.minimum(g0, g1)
+    plan, g0 = np.empty(fwd.shape, dtype=bool), 0.0     # nothing spent before slot 0
+    for i in range(len(fwd)):       # by rows: a fresh (W, B, n) g0 costs page faults
+        g0 = fwd[i] + np.minimum(g0, g1)
+        np.less(g1, g0, out=plan[i])
+    for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
+        plan[i] |= plan[i + 1]
+    return plan.view(np.int8), fwd.sum(axis=0) - np.minimum(g0, g1)
 
 
 def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
@@ -71,7 +65,7 @@ def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
     """Capacity-repaired plan of one window from the cache ``x_prev``, row i
     for window slot i: a one-window block and the commit."""
     plan, saving = solve_rhc_window((cost.alpha * lam_hat)[:, None],
-                                    np.where(x_prev > 0, 0.0, cost.beta), cost.beta)
+                                    np.where(x_prev > 0, 0.0, cost.beta))
     return _repair(plan[:, 0], saving[0], cost.M)
 
 
@@ -80,6 +74,7 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
     """Yield (t - 1, the first ``rows`` rows of window t's repaired plan) for
     t = 1 .. T.  Window t holds slots t .. min(t + W - 1, T), as trace rows or
     forecasts made at t, and starts from the first row of the plan before."""
+    check_width(trace, cost)
     check_count("W", W)
     if W < 1:
         raise ValueError("horizon control needs a window of at least one slot")
@@ -97,15 +92,12 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
                 span = min(W, T - t0 - b)
                 np.multiply(predictions.predict_window(t0 + b + 1, span), cost.alpha,
                             out=fwd[:span, b])
-        plan0, saving0 = solve_rhc_window(fwd, cost.beta, cost.beta)
-        C = np.flatnonzero(x_prev | plan0[0].any(axis=0))
-        plan1, saving1 = plan0[:rows].copy(), saving0.copy()
-        cached, saving1[:, C] = solve_rhc_window(fwd[..., C], 0.0, cost.beta[C])
-        plan1[..., C] = cached[:rows]
+        plan0, saving0 = solve_rhc_window(fwd, cost.beta)     # uncached start
+        plan1, saving1 = solve_rhc_window(fwd, 0.0)           # cached start
         for b in range(nb):
             plan = plan0[:rows, b].copy()                 # each service's plan
-            np.copyto(plan, plan1[:, b], where=x_prev)    # for its start state
-            # staying cached is free, so a plan's later rows only drop services
+            np.copyto(plan, plan1[:rows, b], where=x_prev)  # for its start state
+            # each row of a plan holds the next, so row 0 caches the most
             if np.count_nonzero(plan[0]) > cost.M:
                 _repair(plan, np.where(x_prev, saving1[b], saving0[b]), cost.M)
             yield t0 + b, plan
@@ -142,6 +134,7 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
 def sopt_policy(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
     """Best static cache in hindsight: the top-M services by total demand
     among those whose total clears the instantiating threshold b*/alpha."""
+    check_width(trace, cost)
     t0 = time.perf_counter()
     totals = trace.lam.sum(axis=0)
     threshold = cost.beta_star / cost.alpha
@@ -161,6 +154,7 @@ def exact_opt_dp(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
     State space is every subset of at most M services, so this refuses
     anything beyond desk scale.
     """
+    check_width(trace, cost)
     T, N, M = trace.T, trace.N, cost.M
     if N > 10 or M > 4 or T > 50:
         raise InstanceTooLargeError(
@@ -205,6 +199,7 @@ def pseudo_opt(trace: ArrivalTrace, cost: CostModel, W_big: int = 300) -> RunRec
     """Fractional approximation of the dynamic optimum: many synchronous
     PGD sweeps over the whole horizon, costed fractionally.  A relaxation,
     so it can dip below the true integer optimum."""
+    check_width(trace, cost)
     check_count("W_big", W_big, low=0)
     t0 = time.perf_counter()
     probs = offline_pgd(trace, cost, W_big)

@@ -76,10 +76,6 @@ class CostModel:
     def beta_star(self) -> float:
         return float(np.max(self.beta))
 
-    @property
-    def n_services(self) -> int:
-        return int(self.beta.size)
-
     @classmethod
     def uniform(cls, alpha: float, beta_star: float, n_services: int, M: int,
                 gamma: float = 0.05) -> "CostModel":
@@ -126,6 +122,12 @@ class ArrivalTrace:
 
     def max_slot_total(self) -> float:
         return float(self.lam.sum(axis=1).max())
+
+
+def check_width(trace: ArrivalTrace, cost: CostModel) -> None:
+    """Refuse a cost model priced for another number of services than the trace."""
+    if cost.beta.size != trace.N:
+        raise DimensionError("cost model width differs from the trace")
 
 
 def slot_cost(lambda_row, x_prev, x_cur, cost: CostModel) -> tuple[float, float]:

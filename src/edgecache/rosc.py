@@ -23,7 +23,7 @@ import numpy as np
 
 from .gradient_pgd import pgd_window_update, sweep_buffers
 from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
-                    running_total, slot_cost, top_m_indicator)
+                    check_width, running_total, slot_cost, top_m_indicator)
 from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
                       update_ensemble)
 from .workloads import PredictionOracle
@@ -69,8 +69,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     """
     cost = config.cost
     T, N, W, K = trace.T, trace.N, config.W, config.K
-    if cost.n_services != N:
-        raise ValueError("cost model width differs from the trace")
+    check_width(trace, cost)
     if predictions is None:
         predictions = PredictionOracle(trace, R=0.0)
 

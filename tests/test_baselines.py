@@ -8,8 +8,9 @@ from edgecache import baselines
 from edgecache.baselines import (InstanceTooLargeError, chc_policy,
                                  exact_opt_dp, pseudo_opt, rhc_policy,
                                  rhc_window_plan, sopt_policy)
-from edgecache.model import (ArrivalTrace, CostModel, per_slot_costs,
-                             running_total, top_m_indicator, total_cost_F)
+from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
+                             per_slot_costs, running_total, top_m_indicator,
+                             total_cost_F)
 from edgecache.rosc import RoscConfig, run_rosc
 from edgecache.sampler import rng_stream
 from edgecache.workloads import (PoissonParams, PredictionOracle,
@@ -227,7 +228,8 @@ def repairs(monkeypatch):
 def test_horizon_control_matches_the_per_slot_loop_on_tie_heavy_traces(
         W, monkeypatch, repairs):
     """Blocks of 1 to 5 windows and one block of all; T below W, at W, and
-    not a multiple of the block; exact and noisy forecasts."""
+    not a multiple of the block; exact and noisy forecasts.  At R = 3 most
+    noisy forecasts are clipped to 0, the floor the closed-form DP needs."""
     rng = rng_stream(10 + W, "test:block-vs-loop")
     for T in (1, W - 1, W, 11, 23):
         for windows_per_block in (1, 2, 5, None):
@@ -239,12 +241,13 @@ def test_horizon_control_matches_the_per_slot_loop_on_tie_heavy_traces(
                                 8192 if windows_per_block is None else windows_per_block * N)
             _assert_matches_reference(trace, cost, W)
             _assert_matches_reference(trace, cost, W, R=0.3)
+            _assert_matches_reference(trace, cost, W, R=3.0)
     assert len(repairs) > 20
 
 
 def test_horizon_control_matches_the_per_slot_loop_across_wide_blocks(repairs):
-    """N = 3000 puts two windows in a block, so the cache and the candidate
-    set carry across four block boundaries."""
+    """N = 3000 puts two windows in a block, so the cache carries across
+    four block boundaries into each block's cached-start solve."""
     rng = rng_stream(20, "test:wide-blocks")
     trace, cost = _tie_heavy(rng, 9, 3000, 40)
     assert 8192 // trace.N == 2
@@ -347,6 +350,21 @@ def test_horizon_control_refuses_windows_below_one(policy, W):
     trace = ArrivalTrace(lam=np.ones((4, 3)))
     with pytest.raises(ValueError, match="window of at least one slot"):
         policy(trace, _cost(3), W)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("policy", [
+    lambda trace, cost: run_rosc(trace, RoscConfig(cost=cost, W=2, K=4)),
+    lambda trace, cost: rhc_policy(trace, cost, 2),
+    lambda trace, cost: chc_policy(trace, cost, 2),
+    sopt_policy,
+    exact_opt_dp,
+    lambda trace, cost: pseudo_opt(trace, cost, 5),
+], ids=["rosc", "rhc", "chc", "sopt", "opt-dp", "pseudo-opt"])
+def test_every_policy_refuses_a_cost_model_of_another_width(policy, width):
+    trace = ArrivalTrace(lam=np.ones((4, 5)))
+    with pytest.raises(DimensionError, match="cost model width differs from the trace"):
+        policy(trace, _cost(width))
 
 
 def test_sopt_examples():
