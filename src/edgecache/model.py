@@ -28,9 +28,10 @@ class DimensionError(ValueError):
 
 
 def check_count(name: str, value, low: int | None = None) -> None:
-    """Refuse a size that is not a Python or numpy integer (2.5, "3"), or
-    that is below ``low``."""
-    if not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+    """Refuse a size that is not a Python or numpy integer (2.5, "3", True),
+    or that is below ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
         at_least = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
@@ -128,6 +129,14 @@ def check_width(trace: ArrivalTrace, cost: CostModel) -> None:
     """Refuse a cost model priced for another number of services than the trace."""
     if cost.beta.size != trace.N:
         raise DimensionError("cost model width differs from the trace")
+
+
+def check_forecasts(trace: ArrivalTrace, predictions) -> None:
+    """Refuse a prediction oracle (any object with a ``trace``) built on
+    other arrivals than ``trace``; the identity test spares the usual case."""
+    if (predictions is not None and predictions.trace is not trace
+            and not np.array_equal(predictions.trace.lam, trace.lam)):
+        raise ValueError("the prediction oracle was built on another trace")
 
 
 def slot_cost(lambda_row, x_prev, x_cur, cost: CostModel) -> tuple[float, float]:

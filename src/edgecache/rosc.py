@@ -23,7 +23,8 @@ import numpy as np
 
 from .gradient_pgd import pgd_window_update, sweep_buffers
 from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
-                    check_width, running_total, slot_cost, top_m_indicator)
+                    check_forecasts, check_width, running_total, slot_cost,
+                    top_m_indicator)
 from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
                       update_ensemble)
 from .workloads import PredictionOracle
@@ -70,6 +71,7 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
     cost = config.cost
     T, N, W, K = trace.T, trace.N, config.W, config.K
     check_width(trace, cost)
+    check_forecasts(trace, predictions)
     if predictions is None:
         predictions = PredictionOracle(trace, R=0.0)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .model import ArrivalTrace
+from .model import ArrivalTrace, check_count
 from .sampler import rng_stream
 
 
@@ -206,8 +206,7 @@ class PredictionOracle:
         """(T, N) forecasts of every slot made ``lead`` slots ahead: row
         s - 1 equals ``predict_window(s - lead, lead + 1)[-1]`` bit for bit,
         from the same noise rows added in the same order."""
-        if lead < 0:
-            raise ValueError("lead must be nonnegative")
+        check_count("lead", lead, low=0)
         if self.R == 0.0:
             return self.trace.lam
         T = self.trace.T
@@ -219,21 +218,36 @@ class PredictionOracle:
 
     def predict_row(self, t: int, tau: int) -> np.ndarray:
         """Forecast the whole arrival vector of slot t as seen from tau."""
+        check_count("t", t)
+        check_count("tau", tau)
         lam = self.trace.slot(t)
         if self.R == 0.0 or t < tau or not lam.any():
             return lam.copy() if 1 <= t <= self.trace.T else lam
         return self.predict_window(tau, t - tau + 1)[-1]
 
-    def predict_window(self, tau: int, W: int) -> np.ndarray:
-        """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau."""
-        out = np.zeros((W, self.trace.N))
-        lo, hi = max(tau, 1), min(tau + W - 1, self.trace.T)  # the in-horizon slots
-        if lo > hi:
-            return out
-        rows = out[lo - tau: hi - tau + 1]
-        rows[:] = self.trace.lam[lo - 1: hi]
+    def predict_window(self, tau, W: int) -> np.ndarray:
+        """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau; for
+        a 1-D array of B starts, the (W, B, N) block of those windows, window b
+        in column b.  A window's noise walk is a running sum over its rows,
+        walk_i = walk_{i-1} + e(tau + i), taken for all windows at once."""
+        starts = np.asarray(tau)
+        if starts.ndim > 1 or starts.dtype.kind not in "iu":
+            raise ValueError(f"tau must be an integer or a 1-D array of integers, got {tau!r}")
+        check_count("W", W, low=0)
+        T = self.trace.T
+        slots = np.add.outer(np.arange(W), starts.astype(np.int64))  # (W,) or (W, B)
+        outside = (slots < 1) | (slots > T)
+        if outside.all():
+            return np.zeros((*slots.shape, self.trace.N))
+        out = np.take(self.trace.lam, slots - 1, axis=0, mode="clip")
         if self.R != 0.0:
-            walk = np.cumsum(self._noise_rows(tau, hi), axis=0)
-            rows *= 1.0 + self.R * walk[lo - tau:]
-            np.maximum(rows, 0.0, out=rows)
+            lo, hi = int(starts.min()), min(int(slots.max()), T)
+            walk = np.take(self._noise_rows(lo, hi), slots - lo, axis=0, mode="clip")
+            for i in range(1, W):   # a row loop: cumsum on axis 0 is ~10x slower
+                np.add(walk[i - 1], walk[i], out=walk[i])
+            walk *= self.R
+            walk += 1.0
+            out *= walk
+            np.maximum(out, 0.0, out=out)
+        out[outside] = 0.0      # slots outside the horizon forecast zero
         return out

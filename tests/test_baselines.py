@@ -367,6 +367,34 @@ def test_every_policy_refuses_a_cost_model_of_another_width(policy, width):
         policy(trace, _cost(width))
 
 
+_FORECASTING = [
+    lambda trace, cost, oracle: run_rosc(trace, RoscConfig(cost=cost, W=2, K=4),
+                                         predictions=oracle),
+    lambda trace, cost, oracle: rhc_policy(trace, cost, 2, predictions=oracle),
+    lambda trace, cost, oracle: chc_policy(trace, cost, 2, predictions=oracle),
+]
+
+
+@pytest.mark.parametrize("other", [(4, 5, 2.0), (6, 5, 1.0), (4, 3, 1.0)],
+                         ids=["same-shape", "longer", "narrower"])
+@pytest.mark.parametrize("policy", _FORECASTING, ids=["rosc", "rhc", "chc"])
+def test_forecasting_policies_refuse_an_oracle_of_another_trace(policy, other):
+    T, N, level = other
+    trace = ArrivalTrace(lam=np.arange(20.0).reshape(4, 5))
+    oracle = PredictionOracle(ArrivalTrace(lam=np.full((T, N), level)), R=0.1, seed=1)
+    with pytest.raises(ValueError, match="oracle was built on another trace"):
+        policy(trace, _cost(5), oracle)
+
+
+@pytest.mark.parametrize("policy", _FORECASTING, ids=["rosc", "rhc", "chc"])
+def test_forecasting_policies_accept_an_oracle_of_an_equal_trace(policy):
+    trace = ArrivalTrace(lam=np.arange(20.0).reshape(4, 5))
+    twin = ArrivalTrace(lam=trace.lam.copy())
+    runs = [policy(trace, _cost(5), PredictionOracle(tr, R=0.1, seed=1))
+            for tr in (trace, twin)]
+    assert runs[0].decisions.tobytes() == runs[1].decisions.tobytes()
+
+
 def test_sopt_examples():
     cost = _cost(3, beta=10.0, M=2)  # threshold beta*/alpha = 200
     # totals (300, 250, 180): third service misses the threshold

@@ -188,9 +188,10 @@ def test_noisy_forecasts_reach_rosc_and_baselines(tmp_path):
 @pytest.mark.parametrize("policy, key, value", [
     ("rosc", "M", 2.5), ("rosc", "W", 2.5), ("rosc", "K", 10.7),
     ("rhc", "W", 2.5), ("chc", "W", 2.5), ("pseudo-opt", "W_big", 2.5),
+    ("rosc", "W", True), ("rhc", "W", True),
 ])
 def test_run_policy_refuses_non_integer_sizes(policy, key, value):
-    """A fractional size is refused by name, never truncated into a run
+    """A fractional or bool size is refused by name, never truncated into a run
     whose record would report the truncated value."""
     trace = ArrivalTrace(lam=np.arange(24.0).reshape(6, 4))
     settings = {**PAPER_DEFAULTS, "M": 2, "W": 2, "K": 5, key: value}

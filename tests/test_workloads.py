@@ -160,6 +160,9 @@ def _rowwise_predict_window(oracle, tau, W):
 
 @pytest.mark.parametrize("R", [0.0, 0.03, 0.5, 2.0])
 def test_predict_window_matches_rowwise_formulation(R):
+    """Single starts, then blocks of starts: column b of a block is window b,
+    byte for byte, for starts below 1, windows running past T, unsorted and
+    repeated starts, and one-window and empty blocks."""
     tr = gen_replacement(ReplacementParams(N=7, T=20, U=60), seed=6)
     oracle = PredictionOracle(tr, R=R, seed=3)
     for tau in range(-15, tr.T + 16):
@@ -168,6 +171,38 @@ def test_predict_window_matches_rowwise_formulation(R):
             expected = _rowwise_predict_window(oracle, tau, W)
             assert win.shape == (W, tr.N)
             assert win.tobytes() == expected.tobytes()
+    rng = rng_stream(8, "test:window-blocks")
+    blocks = [np.arange(-15, tr.T + 16), np.arange(1, tr.T + 1), np.array([-3]),
+              np.array([tr.T]), np.array([tr.T + 4]), np.array([-30]),
+              rng.integers(-15, tr.T + 16, 9), np.array([5, 5, 2]),
+              np.array([], dtype=np.int64)]
+    for starts in blocks:
+        for W in (0, 1, 4, 25):
+            block = PredictionOracle(tr, R=R, seed=3).predict_window(starts, W)
+            assert block.shape == (W, starts.size, tr.N)
+            for b, tau in enumerate(starts):
+                expected = _rowwise_predict_window(oracle, int(tau), W)
+                assert block[:, b].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method, args, name", [
+    ("predict_window", (1, -1), "W"),
+    ("predict_window", (1, 2.5), "W"),
+    ("predict_window", (np.arange(1, 4), True), "W"),
+    ("predict_window", (1.5, 3), "tau"),
+    ("predict_window", (True, 3), "tau"),
+    ("predict_window", (np.array([1.0, 2.0]), 3), "tau"),
+    ("predict_window", (np.ones((2, 2), dtype=np.int64), 3), "tau"),
+    ("predict_row", (3.0, 1), "t"),
+    ("predict_row", (3, 1.5), "tau"),
+    ("predict_lead", (2.5,), "lead"),
+    ("predict_lead", (-1,), "lead"),
+])
+@pytest.mark.parametrize("R", [0.0, 0.3])
+def test_forecast_methods_refuse_bad_arguments_by_name(method, args, name, R):
+    tr = gen_replacement(ReplacementParams(N=5, T=12, U=40), seed=1)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        getattr(PredictionOracle(tr, R=R, seed=2), method)(*args)
 
 
 @pytest.mark.parametrize("R", [0.0, 0.4])
@@ -188,7 +223,8 @@ def test_forecasts_do_not_depend_on_query_order():
     """A later request for earlier slots extends the oracle's noise rows; the
     bytes equal those of fresh oracles asked once each."""
     tr = gen_replacement(ReplacementParams(N=6, T=60, U=60), seed=4)
-    asks = [("predict_window", 40, 5), ("predict_window", -3, 8), ("predict_lead", 4)]
+    asks = [("predict_window", 40, 5), ("predict_window", np.array([30, 2, 55, 2]), 7),
+            ("predict_window", -3, 8), ("predict_lead", 4)]
     shared = PredictionOracle(tr, R=0.3, seed=7)
     for method, *args in asks:
         fresh = PredictionOracle(tr, R=0.3, seed=7)
