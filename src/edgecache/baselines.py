@@ -10,8 +10,8 @@ gap on tiny windows the test suite measures.  Forwarding costs are never
 negative, so the DP has a closed form.  It runs over blocks of about 8192
 window-services, one window per slot and zero forwarding rows past the horizon,
 once uncached and once cached: a window's start is only its cost of being
-cached in its first slot.  A block's windows are slices of the trace, or with
-a prediction oracle one ``predict_window`` call over the block's starts.  A
+cached in its first slot.  A block's windows come from one ``predict_window``
+call over the block's starts, on an exact oracle when none is given.  A
 per-slot commit takes each service's plan for its start and repairs capacity;
 ``rhc`` repairs its first row only.
 """
@@ -75,26 +75,23 @@ def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
 def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
                      predictions: PredictionOracle | None, rows: int):
     """Yield (t - 1, the first ``rows`` rows of window t's repaired plan) for
-    t = 1 .. T.  Window t holds slots t .. min(t + W - 1, T), as trace rows or
-    forecasts made at t (one oracle call per block of windows), and starts
-    from the first row of the plan before."""
+    t = 1 .. T.  Window t holds the forecasts of slots t .. min(t + W - 1, T)
+    made at t, one oracle call per block of windows (an exact oracle when
+    ``predictions`` is None), and starts from the first row of the plan before."""
     check_width(trace, cost)
     check_forecasts(trace, predictions)
     check_count("W", W)
     if W < 1:
         raise ValueError("horizon control needs a window of at least one slot")
+    if predictions is None:
+        predictions = PredictionOracle(trace)
     T, N = trace.T, trace.N
     B, x_prev = max(1, BLOCK_SIZE // N), np.zeros(N, dtype=bool)
     for t0 in range(0, T, B):
         nb = min(B, T - t0)
-        if predictions is None:
-            fwd = np.zeros((W, nb, N))
-            for i in range(W):
-                lam = trace.lam[t0 + i: t0 + i + nb]      # the windows whose slot i is <= T
-                np.multiply(lam, cost.alpha, out=fwd[i, :len(lam)])
-        else:           # the block's windows in one call, zero past the horizon
-            fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
-            fwd *= cost.alpha
+        # the block's windows in one call, zero past the horizon
+        fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
+        fwd *= cost.alpha
         plan0, saving0 = solve_rhc_window(fwd, cost.beta)     # uncached start
         plan1, saving1 = solve_rhc_window(fwd, 0.0)           # cached start
         for b in range(nb):

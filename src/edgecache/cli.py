@@ -103,13 +103,17 @@ def cmd_generate(args, parser) -> int:
         trace = bench.make_trace(args.model.replace("-", "_"), params, args.seed)
     except (TypeError, ValueError) as exc:
         parser.error(f"--model {args.model}: {exc}")
+    try:
+        lengths = [(M, path_length(trace, M)) for M in args.M or []]
+    except ValueError as exc:
+        parser.error(f"--M: {exc}")
 
     if not trace.lam.any():
         print("warning: generated trace is all zeros", file=sys.stderr)
     sidecar = save_trace(trace, out)
     print(f"wrote {out} and {sidecar} (T={trace.T}, N={trace.N}, U={trace.U})")
-    for M in args.M or []:
-        print(f"path length at M={M}: {path_length(trace, M)}")
+    for M, length in lengths:
+        print(f"path length at M={M}: {length}")
     return EXIT_OK
 
 

@@ -115,12 +115,6 @@ class ArrivalTrace:
     def N(self) -> int:
         return int(self.lam.shape[1])
 
-    def slot(self, t: int) -> np.ndarray:
-        """Arrival row for 1-indexed slot t; zeros outside [1, T]."""
-        if 1 <= t <= self.T:
-            return self.lam[t - 1]
-        return np.zeros(self.N)
-
     def max_slot_total(self) -> float:
         return float(self.lam.sum(axis=1).max())
 
@@ -187,6 +181,7 @@ def top_m_indicator(lam, M: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim not in (1, 2):
         raise DimensionError(f"lam must be a vector or a T x N matrix, got {lam.shape}")
+    check_count("M", M, low=0)
     if M > lam.shape[-1]:
         raise ValueError(f"M={M} exceeds the number of services {lam.shape[-1]}")
     # Stable sort on the negated rows: equal counts keep index order.

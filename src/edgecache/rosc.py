@@ -44,6 +44,7 @@ class RoscConfig:
     def __post_init__(self):
         check_count("W", self.W, low=0)
         check_count("K", self.K, low=1)
+        check_count("seed", self.seed)
 
     def as_dict(self) -> dict:
         return {

@@ -174,80 +174,73 @@ class PredictionOracle:
     """Multiplicative random-walk noise on future arrivals.
 
     The forecast of slot ``t`` made at slot ``tau <= t`` is
-    ``lam * (1 + R * sum_{s=tau}^{t} e(s))`` clamped at zero, with one
-    standard-normal draw ``e_n(s)`` per service and step from a stream seeded
-    by (seed, s), so forecasts do not depend on the order they are asked in,
-    and re-asking about the same slot from closer by shrinks the noise sum.
-    Past slots (t < tau) return the true, already observed arrivals; slots
-    outside the horizon return zero.  ``R = 0`` is an exact oracle.
+    ``lam_t * (1 + R * (e(tau) + ... + e(t)))`` clamped at zero.  The noise
+    rows ``e(1) .. e(T)``, one standard normal per service and slot, come from
+    one stream seeded by ``seed``; they are drawn once per oracle, on its first
+    noisy query, and kept as their running sums ``C`` (``C[0] = 0``), so every
+    walk is ``C[t] - C[tau - 1]``.  Forecasts therefore do not depend on the
+    order they are asked in, and re-asking about a slot from closer by shrinks
+    its walk.  No noise precedes slot 1: a forecast made at tau < 1 equals the
+    one made at slot 1.  Past slots (t < tau) return the true, already
+    observed arrivals; slots outside 1 .. T return zero.  ``R = 0`` is an
+    exact oracle and draws no noise.
     """
 
     def __init__(self, trace: ArrivalTrace, R: float = 0.0, seed: int = 0):
         if not (np.isfinite(R) and R >= 0):
             raise ValueError(f"noise weight R={R} must be finite and nonnegative")
+        check_count("seed", seed)
         self.trace = trace
         self.R = float(R)
         self.seed = int(seed)
-        self._first = trace.T + 1  # _block holds the noise rows of slots _first .. T
-        self._block = np.empty((0, trace.N))
+        self._sums = None           # C, drawn on the first noisy query
 
-    def _noise(self, s: int) -> np.ndarray:
-        return rng_stream(self.seed, f"prediction-noise:{s}").standard_normal(self.trace.N)
-
-    def _noise_rows(self, lo: int, hi: int) -> np.ndarray:
-        """View of the noise rows of slots lo .. hi <= T, drawn once per oracle
-        from the earliest slot asked for; a lower lo prepends the missing rows."""
-        if lo < self._first:
-            self._block = np.vstack([*map(self._noise, range(lo, self._first)), self._block])
-            self._first = lo
-        return self._block[lo - self._first: hi - self._first + 1]
+    def _forecast(self, t, tau) -> np.ndarray:
+        """Forecasts of slots ``t`` made at ``tau`` (integers or arrays that
+        broadcast), one row of N per pair: ``max(lam_t * (1 + R * (C[t] -
+        C[max(tau, 1) - 1])), 0)``, the walk of a past slot zero, and zero
+        outside 1 .. T."""
+        T = self.trace.T
+        # t clipped into 1 .. T: np.clip and take's mode="clip" cost more
+        s = np.minimum(np.maximum(t, 1), T)
+        out = np.take(self.trace.lam, s - 1, axis=0)
+        if self.R != 0.0:
+            if self._sums is None:
+                self._sums = np.zeros((T + 1, self.trace.N))
+                noise = rng_stream(self.seed, "prediction-noise").standard_normal(
+                    (T, self.trace.N))
+                np.cumsum(noise, axis=0, out=self._sums[1:])
+            walk = np.take(self._sums, s, axis=0)
+            walk -= np.take(self._sums, np.minimum(s, np.maximum(tau, 1) - 1), axis=0)
+            walk *= self.R
+            walk += 1.0
+            out *= walk
+            np.maximum(out, 0.0, out=out)
+        out[s != t] = 0.0       # slots outside 1 .. T
+        return out
 
     def predict_lead(self, lead: int) -> np.ndarray:
         """(T, N) forecasts of every slot made ``lead`` slots ahead: row
-        s - 1 equals ``predict_window(s - lead, lead + 1)[-1]`` bit for bit,
-        from the same noise rows added in the same order."""
+        s - 1 equals ``predict_window(s - lead, lead + 1)[-1]`` bit for bit."""
         check_count("lead", lead, low=0)
         if self.R == 0.0:
             return self.trace.lam
-        T = self.trace.T
-        noise = self._noise_rows(1 - lead, T)
-        walk = noise[:T].copy()
-        for i in range(1, lead + 1):
-            walk += noise[i: i + T]
-        return np.maximum(self.trace.lam * (1.0 + self.R * walk), 0.0)
+        slots = np.arange(1, self.trace.T + 1)
+        return self._forecast(slots, slots - lead)
 
     def predict_row(self, t: int, tau: int) -> np.ndarray:
         """Forecast the whole arrival vector of slot t as seen from tau."""
         check_count("t", t)
         check_count("tau", tau)
-        lam = self.trace.slot(t)
-        if self.R == 0.0 or t < tau or not lam.any():
-            return lam.copy() if 1 <= t <= self.trace.T else lam
-        return self.predict_window(tau, t - tau + 1)[-1]
+        return self._forecast(t, tau)
 
     def predict_window(self, tau, W: int) -> np.ndarray:
-        """(W, N) forecasts of slots tau .. tau + W - 1, all seen from tau; for
+        """(W, N) forecasts of slots tau .. tau + W - 1, all made at tau; for
         a 1-D array of B starts, the (W, B, N) block of those windows, window b
-        in column b.  A window's noise walk is a running sum over its rows,
-        walk_i = walk_{i-1} + e(tau + i), taken for all windows at once."""
+        in column b."""
         starts = np.asarray(tau)
         if starts.ndim > 1 or starts.dtype.kind not in "iu":
             raise ValueError(f"tau must be an integer or a 1-D array of integers, got {tau!r}")
         check_count("W", W, low=0)
-        T = self.trace.T
-        slots = np.add.outer(np.arange(W), starts.astype(np.int64))  # (W,) or (W, B)
-        outside = (slots < 1) | (slots > T)
-        if outside.all():
-            return np.zeros((*slots.shape, self.trace.N))
-        out = np.take(self.trace.lam, slots - 1, axis=0, mode="clip")
-        if self.R != 0.0:
-            lo, hi = int(starts.min()), min(int(slots.max()), T)
-            walk = np.take(self._noise_rows(lo, hi), slots - lo, axis=0, mode="clip")
-            for i in range(1, W):   # a row loop: cumsum on axis 0 is ~10x slower
-                np.add(walk[i - 1], walk[i], out=walk[i])
-            walk *= self.R
-            walk += 1.0
-            out *= walk
-            np.maximum(out, 0.0, out=out)
-        out[outside] = 0.0      # slots outside the horizon forecast zero
-        return out
+        starts = starts.astype(np.int64, copy=False)
+        return self._forecast(np.add.outer(np.arange(W), starts), starts)

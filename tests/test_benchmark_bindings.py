@@ -39,6 +39,7 @@ def traced():
         "rosc": lambda: run_rosc(trace, RoscConfig(cost=cost, W=W, K=K, seed=2)),
         "rhc": lambda: rhc_policy(trace, cost, W,
                                   predictions=PredictionOracle(trace, R=0.3, seed=1)),
+        "rhc-exact": lambda: rhc_policy(trace, cost, W),
         "chc": lambda: chc_policy(trace, cost, W,
                                   predictions=PredictionOracle(trace, R=0.3, seed=1)),
         "pseudo_opt": lambda: pseudo_opt(trace, cost, SWEEPS),
@@ -67,6 +68,8 @@ def test_every_binding_is_present(traced):
     ("chc", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
     ("pseudo_opt", {"gradient_pgd.offline": 1, "projection": SWEEPS,
                     "model.costing": 1}),
+    # exact forecasts take the same path: one exact-oracle call per block
+    ("rhc-exact", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
 ])
 def test_each_layer_is_entered_per_policy(traced, root, expected):
     _, layers, _ = traced

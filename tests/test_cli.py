@@ -55,6 +55,16 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+def test_generate_refuses_a_negative_path_length_m(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--model", "replacement", "--N", "12", "--T", "5",
+              "--M=-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "M must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_model_may_come_from_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": "poisson", "N": 10, "T": 20}))
@@ -146,16 +156,18 @@ def test_run_horizon_control_applies_forecast_noise(tmp_path):
     from edgecache.model import CostModel, load_trace
     from edgecache.workloads import PredictionOracle
 
+    # the forecast noise of seed 2 moves rhc's decisions on this trace, so the
+    # check below fails if the CLI drops --R or --seed
     path = _make_trace(tmp_path)
     out = tmp_path / "noisy"
     code = main(["run", "--policy", "rhc", "--trace", str(path), "--W", "4",
-                 "--M", "2", "--beta-star", "1", "--seed", "3", "--R", "0.3",
+                 "--M", "2", "--beta-star", "1", "--seed", "2", "--R", "0.3",
                  "--out", str(out)])
     assert code == 0
     trace = load_trace(path)
     cost = CostModel.uniform(0.05, 1.0, trace.N, 2)
     noisy = rhc_policy(trace, cost, 4,
-                       predictions=PredictionOracle(trace, R=0.3, seed=3))
+                       predictions=PredictionOracle(trace, R=0.3, seed=2))
     exact = rhc_policy(trace, cost, 4)
     assert noisy.total_cost != exact.total_cost
     doc = json.loads((out / "rhc.json").read_text())

@@ -140,7 +140,11 @@ def test_config_validation():
         RoscConfig(cost=cost, W=2.5, K=10)
     with pytest.raises(ValueError, match="K must be an integer"):
         RoscConfig(cost=cost, W=1, K=2.5)
+    for seed in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RoscConfig(cost=cost, W=1, K=10, seed=seed)
     assert RoscConfig(cost=cost, W=np.int64(2), K=np.int64(3)).K == 3
+    assert RoscConfig(cost=cost, seed=np.uint32(7)).seed == 7
 
 
 # SHA-256 of run_rosc's decisions, per-slot costs and insertion count on the

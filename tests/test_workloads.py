@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import edgecache.workloads
 from edgecache.model import path_length, save_trace
 from edgecache.sampler import rng_stream
 from edgecache.workloads import (PoissonParams, PredictionOracle,
@@ -101,11 +102,22 @@ def test_sqrt_churn_scales_like_sqrt_t():
     assert 1.5 <= ratio <= 2.8
 
 
+def _record_noise_draws(monkeypatch):
+    """Labels of the streams the oracle opens from now on."""
+    labels, open_stream = [], edgecache.workloads.rng_stream
+
+    def recording(seed, label):
+        labels.append(label)
+        return open_stream(seed, label)
+
+    monkeypatch.setattr(edgecache.workloads, "rng_stream", recording)
+    return labels
+
+
 def test_predict_exact_when_noise_free(monkeypatch):
     tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
     oracle = PredictionOracle(tr, R=0.0, seed=1)
-    drawn = []
-    monkeypatch.setattr(oracle, "_noise", drawn.append)
+    drawn = _record_noise_draws(monkeypatch)
     for t in (1, 7, 30):
         np.testing.assert_array_equal(oracle.predict_row(t, 1), tr.lam[t - 1])
     assert oracle.predict_row(31, 5)[3] == 0.0  # beyond the horizon
@@ -120,11 +132,39 @@ def test_predict_exact_when_noise_free(monkeypatch):
     assert drawn == []  # an exact oracle draws no noise
 
 
+def test_one_noise_draw_per_oracle_whatever_the_queries(monkeypatch):
+    tr = gen_replacement(ReplacementParams(N=6, T=30, U=40), seed=2)
+    drawn = _record_noise_draws(monkeypatch)
+    oracle = PredictionOracle(tr, R=0.3, seed=4)
+    assert drawn == []  # nothing is drawn before the first noisy query
+    oracle.predict_window(40, 3)
+    oracle.predict_window(np.array([-5, 12, 1]), 9)
+    oracle.predict_row(20, 3)
+    oracle.predict_lead(7)
+    oracle.predict_window(-30, 2)
+    assert drawn == ["prediction-noise"]
+    PredictionOracle(tr, R=0.3, seed=4).predict_row(2, 1)
+    assert drawn == ["prediction-noise"] * 2
+
+
 @pytest.mark.parametrize("R", [-0.5, np.nan, np.inf])
 def test_oracle_rejects_bad_noise_weight(R):
     tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
     with pytest.raises(ValueError, match="noise weight R"):
         PredictionOracle(tr, R=R, seed=1)
+
+
+def _noise_rows(oracle):
+    """The oracle's noise rows e(1) .. e(T), drawn as the oracle draws them."""
+    stream = rng_stream(oracle.seed, "prediction-noise")
+    return stream.standard_normal((oracle.trace.T, oracle.trace.N))
+
+
+# The oracle takes each walk as a difference of running sums, which moves the
+# last bits against the direct sum of the rows: at most 6e-14 on these
+# instances (walks of up to 20 unit normals, R * lam <= 120).  1e-12 leaves
+# room for that rounding and none for a misplaced noise row.
+ROWWISE_ATOL = 1e-12
 
 
 def test_predict_consistency_and_clamping():
@@ -136,41 +176,42 @@ def test_predict_consistency_and_clamping():
     row = oracle.predict_row(10, 4)
     assert np.all(row >= 0)
     assert row[2] == a
-    # bit for bit the walk of the noise rows of slots 4..10, added in order
-    walk = sum(oracle._noise(s) for s in range(4, 11))
-    np.testing.assert_array_equal(row, np.maximum(tr.lam[9] * (1.0 + 0.5 * walk), 0.0))
+    # the walk of the noise rows of slots 4..10
+    walk = _noise_rows(oracle)[3:10].sum(axis=0)
+    np.testing.assert_allclose(row, np.maximum(tr.lam[9] * (1.0 + 0.5 * walk), 0.0),
+                               rtol=0, atol=ROWWISE_ATOL)
     # window view agrees with scalar queries
     win = oracle.predict_window(4, 8)
-    np.testing.assert_allclose(win[6], oracle.predict_row(10, 4))
+    assert win[6].tobytes() == oracle.predict_row(10, 4).tobytes()
 
 
 def _rowwise_predict_window(oracle, tau, W):
-    """predict_window written row by row: one noise row added per slot,
-    drawn for every slot of the window, in or out of the horizon."""
+    """predict_window written row by row: the walk of slot t sums the noise
+    rows of slots max(tau, 1) .. t directly."""
+    noise = _noise_rows(oracle)
     out = np.zeros((W, oracle.trace.N))
-    walk = np.zeros(oracle.trace.N)
     for i in range(W):
         t = tau + i
-        if oracle.R != 0.0:
-            walk += oracle._noise(t)
         if 1 <= t <= oracle.trace.T:
+            walk = noise[max(tau, 1) - 1: t].sum(axis=0)
             out[i] = np.maximum(oracle.trace.lam[t - 1] * (1.0 + oracle.R * walk), 0.0)
     return out
 
 
 @pytest.mark.parametrize("R", [0.0, 0.03, 0.5, 2.0])
 def test_predict_window_matches_rowwise_formulation(R):
-    """Single starts, then blocks of starts: column b of a block is window b,
-    byte for byte, for starts below 1, windows running past T, unsorted and
-    repeated starts, and one-window and empty blocks."""
+    """Single starts against the row-wise walk, then blocks of starts: column
+    b of a block is the single-start window b byte for byte, for starts below
+    1, windows running past T, unsorted and repeated starts, and one-window
+    and empty blocks."""
     tr = gen_replacement(ReplacementParams(N=7, T=20, U=60), seed=6)
     oracle = PredictionOracle(tr, R=R, seed=3)
     for tau in range(-15, tr.T + 16):
         for W in range(26):
             win = oracle.predict_window(tau, W)
-            expected = _rowwise_predict_window(oracle, tau, W)
             assert win.shape == (W, tr.N)
-            assert win.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(win, _rowwise_predict_window(oracle, tau, W),
+                                       rtol=0, atol=ROWWISE_ATOL)
     rng = rng_stream(8, "test:window-blocks")
     blocks = [np.arange(-15, tr.T + 16), np.arange(1, tr.T + 1), np.array([-3]),
               np.array([tr.T]), np.array([tr.T + 4]), np.array([-30]),
@@ -181,8 +222,17 @@ def test_predict_window_matches_rowwise_formulation(R):
             block = PredictionOracle(tr, R=R, seed=3).predict_window(starts, W)
             assert block.shape == (W, starts.size, tr.N)
             for b, tau in enumerate(starts):
-                expected = _rowwise_predict_window(oracle, int(tau), W)
-                assert block[:, b].tobytes() == expected.tobytes()
+                assert block[:, b].tobytes() == oracle.predict_window(int(tau), W).tobytes()
+
+
+@pytest.mark.parametrize("R", [0.0, 0.4])
+def test_forecasts_made_before_slot_1_equal_those_made_at_slot_1(R):
+    tr = gen_replacement(ReplacementParams(N=6, T=12, U=40), seed=5)
+    oracle = PredictionOracle(tr, R=R, seed=6)
+    early = oracle.predict_window(-3, 8)
+    assert not early[:4].any()
+    assert early[4:].tobytes() == oracle.predict_window(1, 4).tobytes()
+    assert early[3:].tobytes() == oracle.predict_window(0, 5).tobytes()
 
 
 @pytest.mark.parametrize("method, args, name", [
@@ -205,6 +255,13 @@ def test_forecast_methods_refuse_bad_arguments_by_name(method, args, name, R):
         getattr(PredictionOracle(tr, R=R, seed=2), method)(*args)
 
 
+@pytest.mark.parametrize("seed", [2.7, True, "3", None])
+def test_oracle_refuses_non_integer_seeds_by_name(seed):
+    tr = gen_replacement(ReplacementParams(N=5, T=12, U=40), seed=1)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        PredictionOracle(tr, R=0.3, seed=seed)
+
+
 @pytest.mark.parametrize("R", [0.0, 0.4])
 def test_predict_lead_rows_equal_window_forecasts(R):
     tr = gen_replacement(ReplacementParams(N=9, T=25, U=60), seed=3)
@@ -220,8 +277,8 @@ def test_predict_lead_rows_equal_window_forecasts(R):
 
 
 def test_forecasts_do_not_depend_on_query_order():
-    """A later request for earlier slots extends the oracle's noise rows; the
-    bytes equal those of fresh oracles asked once each."""
+    """Queries in any order read the one noise table; the bytes equal those
+    of fresh oracles asked once each."""
     tr = gen_replacement(ReplacementParams(N=6, T=60, U=60), seed=4)
     asks = [("predict_window", 40, 5), ("predict_window", np.array([30, 2, 55, 2]), 7),
             ("predict_window", -3, 8), ("predict_lead", 4)]
@@ -253,10 +310,14 @@ def test_predict_past_slots_return_truth():
 def test_predict_formula_with_pinned_noise(monkeypatch):
     """lam=100, R=0.03, ten unit noise steps -> forecast 130."""
     from edgecache.model import ArrivalTrace
+
+    class UnitNoise:
+        def standard_normal(self, shape):
+            return np.ones(shape)
+
     lam = np.full((12, 1), 100.0)
     oracle = PredictionOracle(ArrivalTrace(lam=lam), R=0.03, seed=0)
-    draw = oracle._noise
-    monkeypatch.setattr(oracle, "_noise", lambda s: np.ones(1) if 1 <= s <= 10 else draw(s))
+    monkeypatch.setattr(edgecache.workloads, "rng_stream", lambda seed, label: UnitNoise())
     assert oracle.predict_row(10, 1)[0] == pytest.approx(130.0)
 
 
