@@ -19,9 +19,9 @@ print("poisson: per-slot totals fluctuate:",
       f"min={tot.min():.0f} mean={tot.mean():.0f} max={tot.max():.0f}")
 print("  top-10 churn per slot:", round(path_length(poi, 10) / poi.T, 3))
 
-# traces round-trip through CSV + JSON sidecar
-sidecar = save_trace(rep, "/tmp/replacement_demo.csv")
-print("wrote /tmp/replacement_demo.csv with sidecar", sidecar)
+# traces round-trip through CSV + JSON sidecar, here in the working directory
+sidecar = save_trace(rep, "replacement_demo.csv")
+print("wrote replacement_demo.csv with sidecar", sidecar)
 
 # --- forecast noise: a per-service random walk scaled by R ---------------
 oracle = PredictionOracle(rep, R=0.03, seed=1)

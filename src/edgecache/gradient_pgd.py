@@ -25,6 +25,7 @@ import numpy as np
 from .model import (ArrivalTrace, CostModel, per_slot_costs, running_total,
                     top_m_indicator)
 from .projection import project_bounded_simplex
+from .rowsplit import split_rows
 
 
 def g_vec(d, beta: np.ndarray, gamma: float, out=None, mask=None) -> np.ndarray:
@@ -63,17 +64,26 @@ def pgd_window_update(Q: np.ndarray, pressure: np.ndarray, cost: CostModel,
     ``Q`` is the (T + 1, N) iterate, row t slot t and row 0 the empty slot
     0; ``pressure`` the (T, N) forwarding pressure alpha * lam to charge.
     Slot t steps from the previous values of slots t - 1, t and t + 1
-    (none after T); all T rows are projected in one batched call."""
+    (none after T); all T rows are projected in one batched call.  The
+    steps run in ``split_rows`` chunks of rows; a chunk's last slot reads
+    the next slot's derivative, which that chunk computes once more."""
     step, g, mask = buffers
     P = Q[1:]
-    np.subtract(P, Q[:-1], out=step)
-    # slot t's switching derivative; slot t's forward term is the same
-    # quantity at slot t + 1
-    g_vec(step, cost.beta, cost.gamma, out=g, mask=mask)
-    np.subtract(g, pressure, out=step)
-    step[:-1] -= g[1:]
-    step *= cost.eta
-    np.subtract(P, step, out=step)
+
+    def descend(a, b):
+        p, s, d = P[a:b], step[a:b], g[a:b]
+        np.subtract(p, Q[a:b], out=s)
+        # slot t's switching derivative; slot t's forward term is the same
+        # quantity at slot t + 1
+        g_vec(s, cost.beta, cost.gamma, out=d, mask=mask[a:b])
+        np.subtract(d, pressure[a:b], out=s)
+        s[:-1] -= d[1:]
+        if b < len(P):
+            s[-1] -= g_vec(P[b] - Q[b], cost.beta, cost.gamma)
+        s *= cost.eta
+        np.subtract(p, s, out=s)
+
+    split_rows(descend, *P.shape)
     project_bounded_simplex(step, cost.M, out=P)
 
 

@@ -8,7 +8,8 @@ clip(z - tau, 0, 1) for the unique tau > 0 at which the clipped sum equals
 M.  Each such row's merged breakpoints z and z - 1, shifted to the row's
 maximum so that huge magnitudes cannot overflow the prefix sums, are walked
 in one vectorized pass to the segment where the clipped sum crosses M, and
-tau solves that segment's linear equation.
+tau solves that segment's linear equation.  A large batch is projected in
+chunks of rows on the host's cores (``rowsplit``), with the same bits.
 
 Non-finite input raises ``ValueError``.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import DimensionError
+from .rowsplit import split_rows
 
 
 def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
@@ -42,7 +44,8 @@ def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
     # min and max propagate NaN and reach any infinity without a temporary
     if not (np.isfinite(z.min()) and np.isfinite(z.max())):
         raise ValueError("project_bounded_simplex needs finite input")
-    if out is not None and (z.ndim != 2 or np.shares_memory(out, z)):
+    if out is not None and (z.ndim != 2 or np.shape(out) != z.shape
+                            or np.shares_memory(out, z)):
         raise ValueError("out takes a (B, N) result and must not share memory with z")
     if z.ndim == 2:
         return _project_rows(z, M, out)
@@ -51,7 +54,15 @@ def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
 
 def _project_rows(z: np.ndarray, M: int, out=None) -> np.ndarray:
     """Row-wise ``project_bounded_simplex`` of a finite (B, N) array, into
-    ``out`` when given.
+    ``out`` when given, one ``split_rows`` chunk of rows at a time."""
+    if out is None:
+        out = np.empty(z.shape)
+    split_rows(lambda a, b: _project_chunk(z[a:b], M, out[a:b]), *z.shape)
+    return out
+
+
+def _project_chunk(z: np.ndarray, M: int, out: np.ndarray) -> None:
+    """Row-wise projection of the finite (B, N) array z into ``out``.
 
     Rows whose clamp fits keep it.  For the others, in depth coordinates
     x = max(row) - max(z, 0) >= 0 and s = max(row) - tau, the clipped sum
@@ -61,14 +72,16 @@ def _project_rows(z: np.ndarray, M: int, out=None) -> np.ndarray:
     segment where f crosses M, and s follows from that segment's counts.
 
     Only each row's L largest entries are walked, L the most positive
-    entries in any active row: tau > 0 whenever capacity binds, so entries
-    at or below zero stay at zero.  Only the first M + 1 pin breakpoints
-    are walked: pinning M + 1 entries would already exceed M.
+    entries in any active row of z: tau > 0 whenever capacity binds, so
+    entries at or below zero stay at zero.  A larger L only adds
+    breakpoints past a row's crossing, so each row comes out the same bit
+    for bit whatever rows share its call.  Only the first M + 1 pin
+    breakpoints are walked: pinning M + 1 entries would already exceed M.
     """
-    out = np.clip(z, 0.0, 1.0, out=out)
+    np.clip(z, 0.0, 1.0, out=out)
     active = np.flatnonzero(out.sum(axis=1) > M)
     if active.size == 0:
-        return out
+        return
     work = z[active]
     work.sort(axis=1)
     # sorted rows put their positive entries last; L counts them in the row
@@ -116,7 +129,6 @@ def _project_rows(z: np.ndarray, M: int, out=None) -> np.ndarray:
     np.maximum(work, 0.0, out=work)
     np.minimum(work, 1.0, out=work)
     out[active] = work
-    return out
 
 
 def project_bounded_simplex_oracle(z, M: int) -> np.ndarray:

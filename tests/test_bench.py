@@ -148,6 +148,34 @@ def test_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_forked_sweep_workers_split_after_the_parent_has(tmp_path):
+    """A process whose sweeps have split over its cores holds a thread pool,
+    whose threads a fork does not copy; the --jobs workers it forks make
+    their own pool and finish."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = f"""
+from edgecache import rowsplit
+from edgecache.bench import PAPER_DEFAULTS, ExperimentSpec, make_trace, run_experiment
+from edgecache.model import CostModel
+from edgecache.gradient_pgd import offline_pgd
+rowsplit._cores = lambda: 2  # split on any host, here and in the workers
+params = {{"N": 1000, "T": 300}}
+trace = make_trace("poisson", params, 0)
+offline_pgd(trace, CostModel.uniform(0.05, 10.0, 1000, 10), 2)
+assert rowsplit._pool is not None
+spec = ExperimentSpec(workload="poisson", workload_params=params, seeds=[0, 1],
+                      policies=["pseudo-opt"], base=dict(PAPER_DEFAULTS, W_big=2),
+                      jobs=2)
+print(run_experiment(spec, {str(tmp_path / "rep")!r})["ok"])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(None, seeds=[])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgecache import rowsplit
 from edgecache.model import DimensionError, in_bounded_simplex
 from edgecache.projection import (project_bounded_simplex,
                                   project_bounded_simplex_oracle)
@@ -122,6 +123,9 @@ def test_out_must_not_share_memory_with_the_input():
             project_bounded_simplex(z, 1, out=out)
     with pytest.raises(ValueError, match="out"):
         project_bounded_simplex(z[0], 1, out=np.empty(3))  # 1-D input
+    for shape in ((3, 3), (1, 3), (2, 4)):     # rows are written by slices of out
+        with pytest.raises(ValueError, match="out"):
+            project_bounded_simplex(z, 1, out=np.empty(shape))
     np.testing.assert_array_equal(z, [[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]])
 
 
@@ -159,6 +163,20 @@ def test_batched_rows_match_oracle_and_single_row_path(batch):
     for z, y in zip(Z, Y):
         np.testing.assert_allclose(y, project_bounded_simplex_oracle(z, M), atol=1e-9)
         np.testing.assert_array_equal(y, project_bounded_simplex(z, M))
+
+
+def test_batch_above_the_split_size_matches_its_rows_one_at_a_time():
+    # 300 x 1000 splits into row chunks on a multi-core host; the leading
+    # rows hold fewer positive entries than the trailing ones, so each chunk
+    # walks fewer breakpoints than the whole batch would
+    rng = rng_stream(12, "test:split-batch")
+    Z = rng.normal(size=(300, 1000)) + np.linspace(-3.0, 0.5, 300)[:, None]
+    assert Z.size >= 2 * rowsplit.SPLIT_SIZE
+    Y = project_bounded_simplex(Z, 10)
+    rows = np.array([project_bounded_simplex(z, 10) for z in Z])
+    np.testing.assert_array_equal(Y, rows)
+    assert np.all(Y.sum(axis=1) <= 10 + 1e-9)
+    assert np.count_nonzero(np.clip(Z, 0, 1).sum(axis=1) > 10) > 100
 
 
 @given(_batches())

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import edgecache.rosc
+from edgecache import rowsplit
+from edgecache.baselines import pseudo_opt
 from edgecache.gradient_pgd import offline_pgd
 from edgecache.model import (ArrivalTrace, CostModel, top_m_indicator,
                              total_cost_F)
@@ -171,3 +173,25 @@ def test_rosc_outputs_are_byte_identical_per_seed():
                 digest.update(np.ascontiguousarray(a).tobytes())
             digest.update(repr(rec.extras["ensemble_insertions_per_path"]).encode())
     assert digest.hexdigest() == ROSC_OUTPUT_DIGEST
+
+
+# SHA-256 of pseudo_opt's probabilities and run_rosc's fractional trace and
+# decisions on a 300 x 1000 Poisson instance, large enough that its sweeps
+# and projections split their rows over the host's cores.  It was computed
+# before rows were split, which must not move a bit.
+SPLIT_SWEEP_DIGEST = "85dc4907adaecb1595000105b454affeee84eab55465723c3a3d7f1b933affff"
+
+
+@pytest.mark.parametrize("cores", [None, 1, 3])
+def test_split_sweeps_are_byte_identical(monkeypatch, cores):
+    """On the host's own cores, unsplit, and in three chunks."""
+    if cores is not None:
+        monkeypatch.setattr(rowsplit, "_cores", lambda: cores)
+    trace = gen_poisson(PoissonParams(N=1000, T=300, groups=((20, 2.0), (100, 0.5))), 1)
+    cost = CostModel.uniform(0.05, 10.0, trace.N, 10, gamma=0.5)
+    digest = hashlib.sha256()
+    digest.update(pseudo_opt(trace, cost, 20).decisions.tobytes())
+    rec = run_rosc(trace, RoscConfig(cost=cost, W=3, K=16, seed=1))
+    digest.update(np.ascontiguousarray(rec.extras["fractional"]).tobytes())
+    digest.update(rec.decisions.tobytes())
+    assert digest.hexdigest() == SPLIT_SWEEP_DIGEST
