@@ -8,12 +8,15 @@ slot that keeps the M services with the largest window cost saving (ties toward
 the lower index): a heuristic relaxation of the joint integer program, whose
 gap on tiny windows the test suite measures.  Forwarding costs are never
 negative, so the DP has a closed form.  It runs over blocks of about 8192
-window-services, one window per slot and zero forwarding rows past the horizon,
-once uncached and once cached: a window's start is only its cost of being
-cached in its first slot.  A block's windows come from one ``predict_window``
-call over the block's starts, on an exact oracle when none is given.  A
-per-slot commit takes each service's plan for its start and repairs capacity;
-``rhc`` repairs its first row only.
+window-services, one window per slot and zero forwarding rows past the horizon.
+A block's windows come from one ``predict_window`` call over the block's
+starts, on an exact oracle when none is given.  A window's start is only its
+cost of being cached in its first slot, so each block is solved from the
+uncached start by the DP and from the cached start in closed form.  The
+uncached plan is a subset of the cached one, so the block commits every
+window at once, as a doubling scan of the carried cache; the first window over
+capacity is repaired alone and the scan restarts after it.  ``rhc`` keeps the
+first rows, ``chc`` adds each window's plan for its start into a vote sum.
 """
 
 from __future__ import annotations
@@ -36,6 +39,13 @@ class InstanceTooLargeError(RuntimeError):
     """The exact dynamic program refuses instances over its budget."""
 
 
+def _suffix_or(plan: np.ndarray) -> np.ndarray:
+    """OR each row of a bool ``plan`` with every row below it, in place."""
+    for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
+        plan[i] |= plan[i + 1]
+    return plan
+
+
 def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     """Exact per-service 0/1-state DP over a (W, B, n) block of windows:
     ``fwd[i, b]`` is window b's forwarding cost alpha * lam_hat in its slot i
@@ -49,9 +59,13 @@ def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     for i in range(len(fwd)):       # by rows: a fresh (W, B, n) g0 costs page faults
         g0 = fwd[i] + np.minimum(g0, g1)
         np.less(g1, g0, out=plan[i])
-    for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
-        plan[i] |= plan[i + 1]
-    return plan.view(np.int8), fwd.sum(axis=0) - np.minimum(g0, g1)
+    return _suffix_or(plan).view(np.int8), fwd.sum(axis=0) - np.minimum(g0, g1)
+
+
+def _cached_start(fwd: np.ndarray) -> tuple:
+    """``solve_rhc_window(fwd, 0.0)`` in closed form: with g1 = 0 the DP's g0
+    is ``fwd`` itself, so a plan caches slot i if some slot >= i forwards."""
+    return _suffix_or(fwd > 0).view(np.int8), fwd.sum(axis=0)
 
 
 def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
@@ -66,18 +80,36 @@ def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
 
 def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
     """Capacity-repaired plan of one window from the cache ``x_prev``, row i
-    for window slot i: a one-window block and the commit."""
+    for window slot i: the DP of a one-window block and the repair."""
+    lam_hat = np.asarray(lam_hat, dtype=float)
+    if not np.all(lam_hat >= 0):
+        raise ValueError("forecasts must be >= 0: the window DP needs "
+                         "forwarding costs that are never negative or NaN")
     plan, saving = solve_rhc_window((cost.alpha * lam_hat)[:, None],
                                     np.where(x_prev > 0, 0.0, cost.beta))
     return _repair(plan[:, 0], saving[0], cost.M)
 
 
+def _carry_scan(c: np.ndarray, k: np.ndarray, x0: np.ndarray, out: np.ndarray):
+    """out[b] = c[b] | (out[b - 1] & k[b]) from out[-1] = x0, as a doubling
+    scan of the maps x -> c | (x & k), which compose as (c1, k1) then
+    (c2, k2) = (c2 | c1 & k2, k1 & k2)."""
+    out[:] = c
+    k, d = k.copy(), 1
+    while d < len(out):
+        out[d:] |= out[:-d] & k[d:]
+        k[d:] &= k[:-d]             # numpy reads overlapping inputs as before
+        d *= 2
+    out |= k & x0
+
+
 def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
                      predictions: PredictionOracle | None, rows: int):
-    """Yield (t - 1, the first ``rows`` rows of window t's repaired plan) for
-    t = 1 .. T.  Window t holds the forecasts of slots t .. min(t + W - 1, T)
-    made at t, one oracle call per block of windows (an exact oracle when
-    ``predictions`` is None), and starts from the first row of the plan before."""
+    """Yield (t0, plans) per block of windows t0 + 1 .. t0 + B: ``plans[i, b]``
+    is row i < ``rows`` of window t0 + 1 + b's repaired plan.  Window t holds
+    the forecasts of slots t .. min(t + W - 1, T) made at t, one oracle call
+    per block (an exact oracle when ``predictions`` is None), and starts from
+    the first row of the plan before."""
     check_width(trace, cost)
     check_forecasts(trace, predictions)
     check_count("W", W)
@@ -93,15 +125,34 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
         fwd *= cost.alpha
         plan0, saving0 = solve_rhc_window(fwd, cost.beta)     # uncached start
-        plan1, saving1 = solve_rhc_window(fwd, 0.0)           # cached start
-        for b in range(nb):
-            plan = plan0[:rows, b].copy()                 # each service's plan
-            np.copyto(plan, plan1[:rows, b], where=x_prev)  # for its start state
-            # each row of a plan holds the next, so row 0 caches the most
-            if np.count_nonzero(plan[0]) > cost.M:
-                _repair(plan, np.where(x_prev, saving1[b], saving0[b]), cost.M)
-            yield t0 + b, plan
-            x_prev = plan[0].view(bool)
+        plan1, saving1 = _cached_start(fwd)
+        # fwd >= 0 makes plan0 a subset of plan1 row by row, so a window that
+        # starts from cache x plans p0 | (x & p1), and window b commits its
+        # row 0 from x[b] into x[b + 1]; each row of a plan holds the next,
+        # so a window over capacity is over it in row 0
+        p0, p1 = plan0[:rows].view(bool), plan1[:rows].view(bool)
+        x, repaired, s, span = np.empty((nb + 1, N), dtype=bool), [], 0, nb
+        x[0] = x_prev
+        while s < nb:
+            e = min(nb, s + span)
+            _carry_scan(p0[0, s:e], p1[0, s:e], x[s], x[s + 1: e + 1])
+            over = x[s + 1: e + 1].sum(axis=1) > cost.M
+            b = s + int(over.argmax())
+            if not over[b - s]:         # none over capacity: scan on, further
+                s, span = e, 2 * span
+                continue
+            # the first window over capacity is repaired alone, from x[b]
+            plan = (p1[:, b] & x[b] | p0[:, b]).view(np.int8)
+            _repair(plan, np.where(x[b], saving1[b], saving0[b]), cost.M)
+            repaired.append((b, plan))
+            x[b + 1] = plan[0]
+            # rescan from the next window, as far as the gap to this repair
+            s, span = b + 1, b + 1 - s
+        plans = (p1 & x[:nb] | p0).view(np.int8)
+        for b, plan in repaired:
+            plans[:, b] = plan
+        yield t0, plans
+        x_prev = x[nb]
 
 
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
@@ -109,8 +160,8 @@ def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
     """Receding horizon control: re-plan every slot, commit only the first."""
     decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
-    for t, plan in _horizon_control(trace, cost, W, predictions, rows=1):
-        decisions[t] = plan[0]
+    for t, plans in _horizon_control(trace, cost, W, predictions, rows=1):
+        decisions[t: t + plans.shape[1]] = plans[0]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("rhc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "rhc"})
@@ -120,12 +171,14 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
                predictions: PredictionOracle | None = None) -> RunRecord:
     """Committed horizon control: slot t's decision is the average of the
     last W window plans' entries for slot t, costed fractionally."""
-    decisions = np.zeros((trace.T, trace.N))        # the vote sum, then its mean
+    T = trace.T
+    decisions = np.zeros((T, trace.N))              # the vote sum, then its mean
     t0 = time.perf_counter()
-    for t, plan in _horizon_control(trace, cost, W, predictions, rows=W):
-        # the plan made at t holds slot t + k in its row k
-        decisions[t: t + W] += plan[: trace.T - t]
-    decisions /= np.minimum(np.arange(1, trace.T + 1), W)[:, None]
+    for t, plans in _horizon_control(trace, cost, W, predictions, rows=W):
+        # the plan made at slot t + b holds slot t + b + k in its row k
+        for k, row in enumerate(plans[: T - t]):
+            decisions[t + k: t + k + len(row)] += row[: T - t - k]
+    decisions /= np.minimum(np.arange(1, T + 1), W)[:, None]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("chc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "chc"})

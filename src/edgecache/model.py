@@ -167,8 +167,13 @@ def per_slot_costs(trace: ArrivalTrace, decisions, cost: CostModel):
 
 def running_total(forward, switch) -> float:
     """Sum of per-slot costs, added slot after slot: adding a run's CSV rows
-    in order gives the same float."""
-    return float(np.cumsum(forward + switch)[-1])
+    in order gives the same float.  A total that overflows is refused."""
+    with np.errstate(over="ignore"):            # refused below, by name
+        total = float(np.cumsum(forward + switch)[-1])
+    if not np.isfinite(total):
+        raise ValueError(f"the run's total cost overflows to {total!r}: "
+                         "per-slot costs too large to add in float64")
+    return total
 
 
 def top_m_indicator(lam, M: int) -> np.ndarray:

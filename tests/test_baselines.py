@@ -136,6 +136,13 @@ def _rowwise_window(lam_hat, x_prev, cost):
     return plan, repaired
 
 
+@pytest.mark.parametrize("lam_hat", [[[-5.0, 3.0], [4.0, -1.0]], [[np.nan, 3.0]]],
+                         ids=["negative", "nan"])
+def test_rhc_window_plan_refuses_forecasts_it_cannot_plan_for(lam_hat):
+    with pytest.raises(ValueError, match="forecasts must be >= 0"):
+        rhc_window_plan(np.array(lam_hat), np.zeros(2), _cost(2))
+
+
 def test_rhc_window_matches_rowwise_formulation_on_tie_heavy_windows():
     """Integer demands 0-3 at alpha = 0.05 cost 0, 0.05, 0.1 or 0.15 a
     slot, the same grid as the betas, so DP ties and saving ties abound."""
@@ -266,10 +273,57 @@ def test_first_row_only_rhc_is_row_zero_of_the_repaired_plan(repairs):
         first = list(baselines._horizon_control(trace, cost, W, None, rows=1))
         assert repairs
         full = list(baselines._horizon_control(trace, cost, W, None, rows=W))
-        for (t, row), (u, plan) in zip(first, full, strict=True):
-            assert t == u and row.shape == (1, trace.N) and plan.shape == (W, trace.N)
-            assert row.tobytes() == plan[:1].tobytes()
+        for (t, row), (u, plans) in zip(first, full, strict=True):
+            assert t == u and row.shape == (1,) + plans.shape[1:]
+            assert plans.shape == (W, min(baselines.BLOCK_SIZE // trace.N, trace.T - t), trace.N)
+            assert row.tobytes() == plans[:1].tobytes()
         repairs.clear()
+
+
+def _repaired_slots(trace, cost, W):
+    """The 0-based slots whose window the per-slot loop repairs."""
+    x_prev, slots = np.zeros(trace.N), []
+    for t in range(trace.T):
+        plan, dropped = _rowwise_window(trace.lam[t: t + W], x_prev, cost)
+        if dropped:
+            slots.append(t)
+        x_prev = plan[0]
+    return slots
+
+
+@pytest.mark.parametrize("windows_per_block", [1, 2])
+def test_horizon_control_repairs_the_first_and_last_window_of_a_block(
+        windows_per_block, monkeypatch):
+    """A repair restarts the carried-cache scan after its window; one or two
+    windows a block put repairs on a block's first and on its last window."""
+    rng = rng_stream(22, "test:edge-repairs")
+    N = 6
+    monkeypatch.setattr(baselines, "BLOCK_SIZE", windows_per_block * N)
+    first = last = 0
+    for W in (1, 2, 4):
+        trace, cost = _tie_heavy(rng, 30, N, 2)
+        slots = _repaired_slots(trace, cost, W)
+        first += sum(t % windows_per_block == 0 for t in slots)
+        last += sum(t % windows_per_block == windows_per_block - 1 for t in slots)
+        _assert_matches_reference(trace, cost, W)
+    assert first > 5 and last > 5
+
+
+def test_cached_start_closed_form_and_plan_inclusion():
+    """On nonnegative blocks with zeros and ties, the uncached plan is a
+    subset of the cached plan row by row (the commit scan's premise), and the
+    closed-form cached start is the DP's, bit for bit."""
+    rng = rng_stream(23, "test:cached-start")
+    for _ in range(300):
+        W, B, n = (int(v) for v in rng.integers(1, 9, 3))
+        fwd = 0.05 * rng.integers(0, 4, (W, B, n)).astype(float)
+        beta = rng.choice([0.05, 0.1, 0.15, 1.0], n if rng.random() < 0.5 else None)
+        plan0, _ = baselines.solve_rhc_window(fwd, beta)
+        plan1, saving1 = baselines.solve_rhc_window(fwd, 0.0)
+        assert np.all(plan0 <= plan1)
+        closed_plan, closed_saving = baselines._cached_start(fwd)
+        assert closed_plan.dtype == plan1.dtype and closed_plan.tobytes() == plan1.tobytes()
+        assert closed_saving.tobytes() == saving1.tobytes()
 
 
 # SHA-256 of rhc's and chc's decisions, per-slot costs and totals on the six

@@ -243,6 +243,22 @@ def test_run_malformed_trace_sidecar_is_usage_error(tmp_path, capsys, sidecar, m
     assert message in err
 
 
+@pytest.mark.parametrize("policy", ["rhc", "chc"])
+def test_run_overflowing_cost_is_usage_error(tmp_path, capsys, policy):
+    """Arrivals of 1e308 are finite, but their forwarding costs add to inf."""
+    trace = tmp_path / "huge.csv"
+    services = range(1, 31)
+    trace.write_text("t," + ",".join(f"s{n}" for n in services) + "\n"
+                     + "".join(f"{t}," + ",".join("1e308" for _ in services) + "\n"
+                               for t in range(1, 11)))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--policy", policy, "--trace", str(trace), "--M", "1",
+              "--W", "2", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "total cost overflows" in err and "Traceback" not in err
+
+
 def test_run_optdp_budget_refusal(tmp_path, capsys):
     trace = _make_trace(tmp_path)  # N = 12 exceeds the exact-DP budget
     code = main(["run", "--policy", "opt-dp", "--trace", str(trace),

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
                              load_trace, path_length, per_slot_costs,
-                             save_trace, slot_cost, top_m_indicator,
-                             total_cost_F)
+                             running_total, save_trace, slot_cost,
+                             top_m_indicator, total_cost_F)
 
 
 def _slot(lam, prev, cur, alpha=0.05, beta=(10.0, 10.0)):
@@ -53,6 +53,12 @@ def test_total_cost_examples():
     assert total_cost_F(tr2, [[1, 0], [1, 0]], _cost(2)) == pytest.approx(15.0)
     zeros = np.zeros((2, 2))
     assert total_cost_F(tr2, zeros, _cost(2)) == pytest.approx(0.05 * 300)
+
+
+def test_running_total_refuses_an_overflowing_total():
+    assert running_total(np.array([1.0, 2.0]), np.array([0.5, 0.0])) == 3.5
+    with pytest.raises(ValueError, match="total cost overflows"):
+        running_total(np.full(3, 1e308), np.zeros(3))
 
 
 def test_total_cost_permutation_invariant():
