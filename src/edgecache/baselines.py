@@ -8,11 +8,10 @@ slot that keeps the M services with the largest window cost saving (ties toward
 the lower index): a heuristic relaxation of the joint integer program, whose
 gap on tiny windows the test suite measures.  Forwarding costs are never
 negative, so the DP has a closed form.  It runs over blocks of about 8192
-window-services, one window per slot and zero forwarding rows past the horizon.
-A block's windows come from one ``predict_window`` call over the block's
-starts, on an exact oracle when none is given.  A window's start is only its
-cost of being cached in its first slot, so each block is solved from the
-uncached start by the DP and from the cached start in closed form.  The
+window-services, one window per slot and zero forwarding rows past the horizon,
+once uncached and once cached: a window's start is only its cost of being
+cached in its first slot.  A block's windows come from one ``predict_window``
+call over the block's starts, on an exact oracle when none is given.  The
 uncached plan is a subset of the cached one, so the block commits every
 window at once, as a doubling scan of the carried cache; the first window over
 capacity is repaired alone and the scan restarts after it.  ``rhc`` keeps the
@@ -39,13 +38,6 @@ class InstanceTooLargeError(RuntimeError):
     """The exact dynamic program refuses instances over its budget."""
 
 
-def _suffix_or(plan: np.ndarray) -> np.ndarray:
-    """OR each row of a bool ``plan`` with every row below it, in place."""
-    for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
-        plan[i] |= plan[i + 1]
-    return plan
-
-
 def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     """Exact per-service 0/1-state DP over a (W, B, n) block of windows:
     ``fwd[i, b]`` is window b's forwarding cost alpha * lam_hat in its slot i
@@ -54,18 +46,21 @@ def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     As ``fwd >= 0`` (arrivals, clipped forecasts, alpha > 0), being cached
     through any slot costs ``g1``, so the DP is ``g0``, the cost through a slot
     ending uncached, and a plan caches slot i if g1 < g0 in some slot >= i.
-    Returns the (W, B, n) int8 plans and the (B, n) savings over never caching."""
+    Returns the (W, B, n) int8 plans and the (B, n) g0 of the last slot; see
+    ``_saving`` for what a plan saves."""
     plan, g0 = np.empty(fwd.shape, dtype=bool), 0.0     # nothing spent before slot 0
     for i in range(len(fwd)):       # by rows: a fresh (W, B, n) g0 costs page faults
         g0 = fwd[i] + np.minimum(g0, g1)
         np.less(g1, g0, out=plan[i])
-    return _suffix_or(plan).view(np.int8), fwd.sum(axis=0) - np.minimum(g0, g1)
+    for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
+        plan[i] |= plan[i + 1]
+    return plan.view(np.int8), g0
 
 
-def _cached_start(fwd: np.ndarray) -> tuple:
-    """``solve_rhc_window(fwd, 0.0)`` in closed form: with g1 = 0 the DP's g0
-    is ``fwd`` itself, so a plan caches slot i if some slot >= i forwards."""
-    return _suffix_or(fwd > 0).view(np.int8), fwd.sum(axis=0)
+def _saving(total, g0, g1):
+    """A plan's saving over never caching: the window's forwarding ``total``
+    less the DP's cost of its best plan, min(g0, g1) at the last slot."""
+    return total - np.minimum(g0, g1)
 
 
 def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
@@ -80,27 +75,28 @@ def _repair(plan: np.ndarray, saving: np.ndarray, M: int) -> np.ndarray:
 
 def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
     """Capacity-repaired plan of one window from the cache ``x_prev``, row i
-    for window slot i: the DP of a one-window block and the repair."""
+    for window slot i: a one-window block and the repair."""
     lam_hat = np.asarray(lam_hat, dtype=float)
     if not np.all(lam_hat >= 0):
         raise ValueError("forecasts must be >= 0: the window DP needs "
                          "forwarding costs that are never negative or NaN")
-    plan, saving = solve_rhc_window((cost.alpha * lam_hat)[:, None],
-                                    np.where(x_prev > 0, 0.0, cost.beta))
-    return _repair(plan[:, 0], saving[0], cost.M)
+    fwd, g1 = (cost.alpha * lam_hat)[:, None], np.where(x_prev > 0, 0.0, cost.beta)
+    plan, g0 = solve_rhc_window(fwd, g1)
+    return _repair(plan[:, 0], _saving(fwd.sum(axis=0), g0, g1)[0], cost.M)
 
 
 def _carry_scan(c: np.ndarray, k: np.ndarray, x0: np.ndarray, out: np.ndarray):
     """out[b] = c[b] | (out[b - 1] & k[b]) from out[-1] = x0, as a doubling
     scan of the maps x -> c | (x & k), which compose as (c1, k1) then
-    (c2, k2) = (c2 | c1 & k2, k1 & k2)."""
+    (c2, k2) = (c2 | c1 & k2, k1 & k2); x0 enters through row 0."""
     out[:] = c
+    out[0] |= x0 & k[0]
     k, d = k.copy(), 1
     while d < len(out):
         out[d:] |= out[:-d] & k[d:]
-        k[d:] &= k[:-d]             # numpy reads overlapping inputs as before
+        if 2 * d < len(out):        # the last step needs no composed k
+            k[d:] &= k[:-d]         # numpy reads overlapping inputs as before
         d *= 2
-    out |= k & x0
 
 
 def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
@@ -124,8 +120,9 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         # the block's windows in one call, zero past the horizon
         fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
         fwd *= cost.alpha
-        plan0, saving0 = solve_rhc_window(fwd, cost.beta)     # uncached start
-        plan1, saving1 = _cached_start(fwd)
+        plan0, g0_0 = solve_rhc_window(fwd, cost.beta)        # uncached start
+        plan1, g0_1 = solve_rhc_window(fwd, 0.0)              # cached start
+        savings = None                  # summed on the block's first repair
         # fwd >= 0 makes plan0 a subset of plan1 row by row, so a window that
         # starts from cache x plans p0 | (x & p1), and window b commits its
         # row 0 from x[b] into x[b + 1]; each row of a plan holds the next,
@@ -136,22 +133,27 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         while s < nb:
             e = min(nb, s + span)
             _carry_scan(p0[0, s:e], p1[0, s:e], x[s], x[s + 1: e + 1])
-            over = x[s + 1: e + 1].sum(axis=1) > cost.M
+            # services per row, summed as bytes: a bool sum casts each one
+            over = x[s + 1: e + 1].view(np.uint8).sum(axis=1, dtype=np.intp) > cost.M
             b = s + int(over.argmax())
             if not over[b - s]:         # none over capacity: scan on, further
                 s, span = e, 2 * span
                 continue
             # the first window over capacity is repaired alone, from x[b]
+            if savings is None:
+                total = fwd.sum(axis=0)
+                savings = _saving(total, g0_0, cost.beta), _saving(total, g0_1, 0.0)
             plan = (p1[:, b] & x[b] | p0[:, b]).view(np.int8)
-            _repair(plan, np.where(x[b], saving1[b], saving0[b]), cost.M)
+            _repair(plan, np.where(x[b], savings[1][b], savings[0][b]), cost.M)
             repaired.append((b, plan))
             x[b + 1] = plan[0]
             # rescan from the next window, as far as the gap to this repair
             s, span = b + 1, b + 1 - s
-        plans = (p1 & x[:nb] | p0).view(np.int8)
+        # row 0 of each plan is the cache it commits, repairs included
+        plans = x[None, 1:] if rows == 1 else p1 & x[:nb] | p0
         for b, plan in repaired:
             plans[:, b] = plan
-        yield t0, plans
+        yield t0, plans.view(np.int8)
         x_prev = x[nb]
 
 

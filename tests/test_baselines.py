@@ -309,21 +309,23 @@ def test_horizon_control_repairs_the_first_and_last_window_of_a_block(
     assert first > 5 and last > 5
 
 
-def test_cached_start_closed_form_and_plan_inclusion():
+def test_uncached_plan_is_a_subset_of_the_cached_plan():
     """On nonnegative blocks with zeros and ties, the uncached plan is a
     subset of the cached plan row by row (the commit scan's premise), and the
-    closed-form cached start is the DP's, bit for bit."""
+    cached start has a closed form: it caches slot i if some slot >= i
+    forwards, and saves the whole window's forwarding, bit for bit."""
     rng = rng_stream(23, "test:cached-start")
     for _ in range(300):
         W, B, n = (int(v) for v in rng.integers(1, 9, 3))
         fwd = 0.05 * rng.integers(0, 4, (W, B, n)).astype(float)
         beta = rng.choice([0.05, 0.1, 0.15, 1.0], n if rng.random() < 0.5 else None)
         plan0, _ = baselines.solve_rhc_window(fwd, beta)
-        plan1, saving1 = baselines.solve_rhc_window(fwd, 0.0)
+        plan1, g0 = baselines.solve_rhc_window(fwd, 0.0)
         assert np.all(plan0 <= plan1)
-        closed_plan, closed_saving = baselines._cached_start(fwd)
-        assert closed_plan.dtype == plan1.dtype and closed_plan.tobytes() == plan1.tobytes()
-        assert closed_saving.tobytes() == saving1.tobytes()
+        forwards_later = np.flip(np.logical_or.accumulate(np.flip(fwd > 0, 0), 0), 0)
+        assert plan1.tobytes() == forwards_later.view(np.int8).tobytes()
+        total = fwd.sum(axis=0)
+        assert baselines._saving(total, g0, 0.0).tobytes() == total.tobytes()
 
 
 # SHA-256 of rhc's and chc's decisions, per-slot costs and totals on the six

@@ -64,12 +64,12 @@ def test_every_binding_is_present(traced):
 @pytest.mark.parametrize("root, expected", [
     ("rosc", {"model.seed": 1, "gradient_pgd.window": W, "projection": W,
               "sampler.quantize": 1, "sampler.update": T, "model.costing": T}),
-    ("rhc", {"workloads.forecast": BLOCKS, "baselines.solve": 1, "model.costing": 1}),
-    ("chc", {"workloads.forecast": BLOCKS, "baselines.solve": 1, "model.costing": 1}),
+    ("rhc", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
+    ("chc", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
     ("pseudo_opt", {"gradient_pgd.offline": 1, "projection": SWEEPS,
                     "model.costing": 1}),
     # exact forecasts take the same path: one exact-oracle call per block
-    ("rhc-exact", {"workloads.forecast": BLOCKS, "baselines.solve": 1, "model.costing": 1}),
+    ("rhc-exact", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
 ])
 def test_each_layer_is_entered_per_policy(traced, root, expected):
     _, layers, _ = traced
