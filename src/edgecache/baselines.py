@@ -28,7 +28,7 @@ import numpy as np
 from .gradient_pgd import offline_pgd
 from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
                     check_forecasts, check_width, per_slot_costs,
-                    running_total)
+                    running_total, top_m_indicator)
 from .workloads import PredictionOracle
 
 BLOCK_SIZE = 8192                                   # window-services per DP block
@@ -46,7 +46,7 @@ def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     As ``fwd >= 0`` (arrivals, clipped forecasts, alpha > 0), being cached
     through any slot costs ``g1``, so the DP is ``g0``, the cost through a slot
     ending uncached, and a plan caches slot i if g1 < g0 in some slot >= i.
-    Returns the (W, B, n) int8 plans and the (B, n) g0 of the last slot; see
+    Returns the (W, B, n) bool plans and the (B, n) g0 of the last slot; see
     ``_saving`` for what a plan saves."""
     plan, g0 = np.empty(fwd.shape, dtype=bool), 0.0     # nothing spent before slot 0
     for i in range(len(fwd)):       # by rows: a fresh (W, B, n) g0 costs page faults
@@ -54,7 +54,7 @@ def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
         np.less(g1, g0, out=plan[i])
     for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
         plan[i] |= plan[i + 1]
-    return plan.view(np.int8), g0
+    return plan, g0
 
 
 def _saving(total, g0, g1):
@@ -82,7 +82,7 @@ def rhc_window_plan(lam_hat: np.ndarray, x_prev, cost: CostModel) -> np.ndarray:
                          "forwarding costs that are never negative or NaN")
     fwd, g1 = (cost.alpha * lam_hat)[:, None], np.where(x_prev > 0, 0.0, cost.beta)
     plan, g0 = solve_rhc_window(fwd, g1)
-    return _repair(plan[:, 0], _saving(fwd.sum(axis=0), g0, g1)[0], cost.M)
+    return _repair(plan[:, 0], _saving(fwd.sum(axis=0), g0, g1)[0], cost.M).view(np.int8)
 
 
 def _carry_scan(c: np.ndarray, k: np.ndarray, x0: np.ndarray, out: np.ndarray):
@@ -120,15 +120,15 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         # the block's windows in one call, zero past the horizon
         fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
         fwd *= cost.alpha
-        plan0, g0_0 = solve_rhc_window(fwd, cost.beta)        # uncached start
-        plan1, g0_1 = solve_rhc_window(fwd, 0.0)              # cached start
-        savings = None                  # summed on the block's first repair
+        plan0, g0 = solve_rhc_window(fwd, cost.beta)          # uncached start
+        plan1, _ = solve_rhc_window(fwd, 0.0)                 # cached start
+        total = None                    # summed on the block's first repair
         # fwd >= 0 makes plan0 a subset of plan1 row by row, so a window that
         # starts from cache x plans p0 | (x & p1), and window b commits its
         # row 0 from x[b] into x[b + 1]; each row of a plan holds the next,
         # so a window over capacity is over it in row 0
-        p0, p1 = plan0[:rows].view(bool), plan1[:rows].view(bool)
-        x, repaired, s, span = np.empty((nb + 1, N), dtype=bool), [], 0, nb
+        p0, p1 = plan0[:rows], plan1[:rows]
+        x, s, span = np.empty((nb + 1, N), dtype=bool), 0, nb
         x[0] = x_prev
         while s < nb:
             e = min(nb, s + span)
@@ -139,21 +139,19 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
             if not over[b - s]:         # none over capacity: scan on, further
                 s, span = e, 2 * span
                 continue
-            # the first window over capacity is repaired alone, from x[b]
-            if savings is None:
+            # the first window over capacity is repaired alone, from x[b]; a
+            # cached start saves the window's whole forwarding ``total``
+            if total is None:
                 total = fwd.sum(axis=0)
-                savings = _saving(total, g0_0, cost.beta), _saving(total, g0_1, 0.0)
-            plan = (p1[:, b] & x[b] | p0[:, b]).view(np.int8)
-            _repair(plan, np.where(x[b], savings[1][b], savings[0][b]), cost.M)
-            repaired.append((b, plan))
+                uncached = _saving(total, g0, cost.beta)
+            plan = _repair(p1[:, b] & x[b] | p0[:, b],
+                           np.where(x[b], total[b], uncached[b]), cost.M)
+            p0[:, b] = p1[:, b] = plan      # so p1 & x | p0 is the repaired plan
             x[b + 1] = plan[0]
             # rescan from the next window, as far as the gap to this repair
             s, span = b + 1, b + 1 - s
         # row 0 of each plan is the cache it commits, repairs included
-        plans = x[None, 1:] if rows == 1 else p1 & x[:nb] | p0
-        for b, plan in repaired:
-            plans[:, b] = plan
-        yield t0, plans.view(np.int8)
+        yield t0, x[None, 1:] if rows == 1 else p1 & x[:nb] | p0
         x_prev = x[nb]
 
 
@@ -187,17 +185,13 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
 
 
 def sopt_policy(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
-    """Best static cache in hindsight: the top-M services by total demand
-    among those whose total clears the instantiating threshold b*/alpha."""
+    """Best static cache in hindsight: caching service n from slot 1 on saves
+    alpha * (its total demand) - beta_n; the cache is the top M positive savings."""
     check_width(trace, cost)
     t0 = time.perf_counter()
-    totals = trace.lam.sum(axis=0)
-    threshold = cost.beta_star / cost.alpha
-    order = np.lexsort((np.arange(trace.N), -totals))
-    chosen = [n for n in order if totals[n] >= threshold][: cost.M]
-    x = np.zeros(trace.N, dtype=np.int8)
-    x[chosen] = 1
-    decisions = np.tile(x, (trace.T, 1))
+    with np.errstate(over="ignore"):        # running_total refuses an overflow
+        saving = cost.alpha * trace.lam.sum(axis=0) - cost.beta
+    decisions = np.tile(top_m_indicator(saving, cost.M), (trace.T, 1))
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("sopt", trace, decisions, cost, runtime_ms,
                    config={"policy": "sopt"})
@@ -225,8 +219,8 @@ def exact_opt_dp(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
     pair_keep = (member * cost.beta) @ member.T      # beta mass shared by (prev, next)
     switch = inst[None, :] - pair_keep               # switch[i, j]: prev set i -> set j
 
-    slot_forward = cost.alpha * (trace.lam.sum(axis=1)[:, None]
-                                 - trace.lam @ member.T)   # (T, S)
+    with np.errstate(over="ignore"):        # running_total refuses an overflow
+        slot_forward = cost.alpha * (trace.lam @ (1.0 - member).T)   # (T, S)
     value = switch[0] + slot_forward[0]              # slot 1 from the empty set
     choice = np.zeros((T, len(subsets)), dtype=np.int32)
     for t in range(1, T):

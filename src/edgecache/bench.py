@@ -46,10 +46,12 @@ def regret_bound(cost: CostModel, N: int, T: int, U: float, K: int, W: int,
 def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
                        W: int, H_T: float) -> dict:
     """The ``regret_bound`` ceiling split into its tracking, rounding and
-    churn terms, with their sum as ``total``."""
-    for name, value in (("W", W), ("K", K), ("T", T)):
-        if value < 1:
-            raise ValueError(f"{name}={value} must be at least 1")
+    churn terms, with their sum as ``total``; N, T, K, W are integers >= 1."""
+    for name, value in (("N", N), ("T", T), ("K", K), ("W", W)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name}={value!r} must be an integer of at least 1")
+    if N < cost.M:
+        raise ValueError(f"N={N} is below the capacity M={cost.M}")
     for name, value in (("U", U), ("H_T", H_T)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name}={value} must be finite and nonnegative")

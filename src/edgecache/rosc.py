@@ -99,12 +99,13 @@ def run_rosc(trace: ArrivalTrace, config: RoscConfig,
         pgd_window_update(Q, pressure, cost, buffers)
 
     p_quant = quantize_probs(Q[1:], K)
-    for t in range(T):
-        ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
-        x = ensemble.S[k_star]  # a view: no update writes an S it was given
-        decisions[t] = x
-        forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
-        prev_decision = x
+    with np.errstate(over="ignore"):        # running_total refuses an overflow
+        for t in range(T):
+            ensemble = update_ensemble(ensemble, p_quant[t], sampler_rng)
+            x = ensemble.S[k_star]  # a view: no update writes an S it was given
+            decisions[t] = x
+            forward[t], switch[t] = slot_cost(trace.lam[t], prev_decision, x, cost)
+            prev_decision = x
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
     return RunRecord(

@@ -487,12 +487,44 @@ def test_sopt_pays_instantiation_once_at_start():
     assert rec.switch[1:].sum() == 0.0
 
 
+def test_sopt_is_the_best_static_cache():
+    """sopt against every static set of at most M services, on
+    non-uniform betas.  The first instance is one where ranking by demand
+    above the threshold b*/alpha caches nothing (cost 60), while caching
+    service 0 costs 51."""
+    cases = [(ArrivalTrace(lam=[[10.0, 50.0]]), CostModel(alpha=1.0, beta=[1.0, 100.0], M=1))]
+    rng = rng_stream(24, "test:sopt-static")
+    for _ in range(100):
+        T, N = (int(v) for v in rng.integers(1, 7, 2))
+        lam = rng.poisson(rng.uniform(0, 30), (T, N)).astype(float)
+        cost = CostModel(alpha=0.05, beta=rng.uniform(0.05, 3.0, N),
+                         M=int(rng.integers(1, N + 1)))
+        cases.append((ArrivalTrace(lam=lam), cost))
+    for trace, cost in cases:
+        best = min(total_cost_F(trace, np.tile(np.isin(np.arange(trace.N), chosen),
+                                               (trace.T, 1)), cost)
+                   for m in range(cost.M + 1)
+                   for chosen in itertools.combinations(range(trace.N), m))
+        assert sopt_policy(trace, cost).total_cost == pytest.approx(best, rel=1e-9, abs=1e-9)
+
+
 def test_exact_dp_tiny_example():
     trace = ArrivalTrace(lam=[[100.0, 50.0]])
     cost = _cost(2, beta=10.0, M=1)
     rec = exact_opt_dp(trace, cost)
     assert rec.total_cost == pytest.approx(7.5)
     assert not rec.decisions.any()
+
+
+def test_exact_dp_caches_demand_too_large_to_forward():
+    """Two services of 1e308 add past float64 in slot 1, but caching both
+    costs 2 beta plus 0.05 a slot: each cache set's forwarding is priced on
+    the services it leaves out, so the sum of everything never enters."""
+    trace = ArrivalTrace(lam=[[1e308, 1e308, 1.0], [1.0, 1.0, 1.0]])
+    cost = _cost(3, beta=10.0, M=2)
+    rec = exact_opt_dp(trace, cost)
+    assert rec.decisions.tolist() == [[1, 1, 0], [1, 1, 0]]
+    assert rec.total_cost == sopt_policy(trace, cost).total_cost == pytest.approx(20.1)
 
 
 def test_exact_dp_tiny_beta_caches_top_m_every_slot():

@@ -72,6 +72,19 @@ def test_regret_bound_monotone_in_w_and_k():
         regret_bound(cost, 40, 2000, 150.0, 50, 0, 60.0)
 
 
+@pytest.mark.parametrize("arg, value, message", [
+    ("N", -3, "N=-3"), ("N", 0, "N=0"), ("N", 4, "N=4 is below the capacity M=5"),
+    ("N", 40.0, "N=40.0"), ("T", 0, "T=0"), ("T", 2000.5, "T=2000.5"),
+    ("K", 0, "K=0"), ("K", True, "K=True"), ("W", 2.5, "W=2.5"), ("W", -1, "W=-1"),
+], ids=["N-negative", "N-0", "N-below-M", "N-float", "T-0", "T-fraction",
+        "K-0", "K-bool", "W-fraction", "W-negative"])
+def test_regret_bound_refuses_sizes_it_cannot_bound(arg, value, message):
+    args = {"N": 40, "T": 2000, "U": 150.0, "K": 50, "W": 5, "H_T": 60.0}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        regret_bound(_cost(M=5), **{**args, arg: value})
+    assert regret_bound(_cost(M=5), **{**args, arg: np.int64(5)}) > 0
+
+
 def test_theorem_cost():
     trace = ArrivalTrace(lam=np.arange(120.0).reshape(20, 6) % 7)
     cost = theorem_cost(CostModel.uniform(0.05, 8.0, trace.N, 2), 6.0, trace.T)

@@ -243,11 +243,12 @@ def test_run_malformed_trace_sidecar_is_usage_error(tmp_path, capsys, sidecar, m
     assert message in err
 
 
-@pytest.mark.parametrize("policy", ["rhc", "chc"])
+@pytest.mark.parametrize("policy", ["rosc", "rhc", "chc", "sopt", "opt-dp", "pseudo-opt"])
 def test_run_overflowing_cost_is_usage_error(tmp_path, capsys, policy):
-    """Arrivals of 1e308 are finite, but their forwarding costs add to inf."""
+    """Arrivals of 1e308 are finite, but their forwarding costs add to inf;
+    10 services x 10 slots fits the exact DP's budget."""
     trace = tmp_path / "huge.csv"
-    services = range(1, 31)
+    services = range(1, 11)
     trace.write_text("t," + ",".join(f"s{n}" for n in services) + "\n"
                      + "".join(f"{t}," + ",".join("1e308" for _ in services) + "\n"
                                for t in range(1, 11)))
