@@ -160,9 +160,13 @@ def per_slot_costs(trace: ArrivalTrace, decisions, cost: CostModel):
     dec = np.asarray(decisions, dtype=float)
     if dec.shape != (trace.T, trace.N):
         raise DimensionError(f"decisions shape {dec.shape} != {(trace.T, trace.N)}")
-    fwd = cost.alpha * np.einsum("tn,tn->t", trace.lam, 1.0 - dec)
-    sw = np.maximum(np.diff(dec, axis=0, prepend=0.0), 0.0) @ cost.beta
-    return fwd, sw
+    # one buffer, laid out like dec: first 1 - x, then the raises x_t - x_{t-1}
+    buf = np.subtract(1.0, dec)
+    fwd = cost.alpha * np.einsum("tn,tn->t", trace.lam, buf)
+    buf[0] = dec[0]
+    np.subtract(dec[1:], dec[:-1], out=buf[1:])
+    np.maximum(buf, 0.0, out=buf)
+    return fwd, buf @ cost.beta
 
 
 def running_total(forward, switch) -> float:

@@ -30,9 +30,9 @@ def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
     """Exact projection of z onto {p in [0,1]^N : sum(p) <= M}.
 
     A (B, N) array projects each of its rows onto the same set, into
-    ``out`` when given, which must not share memory with z.  Raises
-    ``DimensionError`` for other shapes and ``ValueError`` for an M outside
-    [1, N], for non-finite entries or for an unusable ``out``.
+    ``out`` when given, a float64 array that must not share memory with z.
+    Raises ``DimensionError`` for other shapes and ``ValueError`` for an M
+    outside [1, N], for non-finite entries or for an unusable ``out``.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.size == 0:
@@ -45,8 +45,10 @@ def project_bounded_simplex(z, M: int, out=None) -> np.ndarray:
     if not (np.isfinite(z.min()) and np.isfinite(z.max())):
         raise ValueError("project_bounded_simplex needs finite input")
     if out is not None and (z.ndim != 2 or np.shape(out) != z.shape
+                            or getattr(out, "dtype", None) != np.float64
                             or np.shares_memory(out, z)):
-        raise ValueError("out takes a (B, N) result and must not share memory with z")
+        raise ValueError("out takes a (B, N) float64 result and must not share "
+                         "memory with z")
     if z.ndim == 2:
         return _project_rows(z, M, out)
     return _project_rows(z[None, :], M)[0]
@@ -104,7 +106,7 @@ def _project_chunk(z: np.ndarray, M: int, out: np.ndarray) -> None:
     bits = keys.view(np.int64)
     bits[:, :L] &= ~1
     bits[:, L:] |= 1
-    bits.sort(axis=1)
+    bits.sort(axis=1, kind="stable")                # two ascending runs: a merge
     pinned = np.cumsum(bits & 1, axis=1)             # pinned count after each breakpoint
     interior = np.arange(1, P + 1) - 2 * pinned       # slope of f after each breakpoint
     f = np.cumsum(interior[:, :-1] * np.diff(keys, axis=1), axis=1)

@@ -15,6 +15,7 @@ Both are pure functions of (params, seed).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -187,8 +188,10 @@ class PredictionOracle:
     """
 
     def __init__(self, trace: ArrivalTrace, R: float = 0.0, seed: int = 0):
-        if not (np.isfinite(R) and R >= 0):
-            raise ValueError(f"noise weight R={R} must be finite and nonnegative")
+        # a real scalar, bools refused as check_count refuses them
+        if (isinstance(R, (bool, np.bool_)) or not isinstance(R, numbers.Real)
+                or not 0 <= R < np.inf):
+            raise ValueError(f"noise weight R={R!r} must be finite and nonnegative")
         check_count("seed", seed)
         self.trace = trace
         self.R = float(R)
@@ -210,8 +213,11 @@ class PredictionOracle:
                 noise = rng_stream(self.seed, "prediction-noise").standard_normal(
                     (T, self.trace.N))
                 np.cumsum(noise, axis=0, out=self._sums[1:])
+            # one base row per forecast time, broadcast over its slots
+            u = np.minimum(np.maximum(tau, 1) - 1, T)
             walk = np.take(self._sums, s, axis=0)
-            walk -= np.take(self._sums, np.minimum(s, np.maximum(tau, 1) - 1), axis=0)
+            walk -= np.take(self._sums, u, axis=0)
+            walk[s <= u] = 0.0      # past slots
             walk *= self.R
             walk += 1.0
             out *= walk

@@ -90,6 +90,40 @@ def test_per_slot_costs_match_a_slot_by_slot_loop():
         per_slot_costs(ArrivalTrace(lam=lam), dec[1:], cost)
 
 
+def _costs_from_fresh_arrays(trace, decisions, cost):
+    """per_slot_costs written with a fresh array per step: the reference."""
+    dec = np.asarray(decisions, dtype=float)
+    fwd = cost.alpha * np.einsum("tn,tn->t", trace.lam, 1.0 - dec)
+    sw = np.maximum(np.diff(dec, axis=0, prepend=0.0), 0.0) @ cost.beta
+    return fwd, sw
+
+
+def test_per_slot_costs_equal_fresh_array_costing_byte_for_byte():
+    rng = np.random.default_rng(4)
+    T, N = 60, 11
+    trace = ArrivalTrace(lam=rng.poisson(5.0, (T, N)).astype(float))
+    cost = CostModel(alpha=0.05, beta=rng.uniform(1, 10, N), M=5)
+    frac = rng.uniform(0, 1, (T, N))
+    binary = rng.random((T, N)) < 0.4
+    negzero = frac.copy()
+    negzero[0] = -0.0
+    nan_row = frac.copy()
+    nan_row[7] = np.nan
+    for decisions in (binary, binary.astype(np.int8), binary.astype(np.int64), frac,
+                      frac.astype(object), frac.tolist(), binary.tolist(),
+                      np.asfortranarray(frac), rng.uniform(0, 1, (N, T)).T,
+                      frac[::-1], negzero, nan_row):
+        got = per_slot_costs(trace, decisions, cost)
+        want = _costs_from_fresh_arrays(trace, decisions, cost)
+        assert all(g.dtype == np.float64 for g in got)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    assert np.isnan(per_slot_costs(trace, nan_row, cost)[1][[7, 8]]).all()
+    for bad in (frac[1:], frac[:, 1:], frac.T, frac[0], frac.tolist()[1:]):
+        with pytest.raises(DimensionError):
+            per_slot_costs(trace, bad, cost)
+
+
 def test_top_m_indicator_examples():
     assert top_m_indicator([5, 9, 2, 7], 2).tolist() == [0, 1, 0, 1]
     assert top_m_indicator([3, 3, 1], 1).tolist() == [1, 0, 0]  # tie: lower index

@@ -115,6 +115,15 @@ def test_batched_out_receives_the_projection():
     np.testing.assert_array_equal(out, project_bounded_simplex(z, 3))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_out_must_be_float64(dtype):
+    z = np.array([[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]])
+    out = np.zeros(z.shape, dtype)
+    with pytest.raises(ValueError, match="out takes a .* float64 result"):
+        project_bounded_simplex(z, 1, out=out)
+    assert not out.any()
+
+
 def test_out_must_not_share_memory_with_the_input():
     # the batched path reads z again after it has written out
     z = np.array([[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]])

@@ -147,11 +147,19 @@ def test_one_noise_draw_per_oracle_whatever_the_queries(monkeypatch):
     assert drawn == ["prediction-noise"] * 2
 
 
-@pytest.mark.parametrize("R", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("R", [-0.5, np.nan, np.inf, np.float32(np.inf), "0.1",
+                               np.array([0.1, 0.2]), np.array(0.1), True,
+                               np.bool_(False), None, 1 + 0j])
 def test_oracle_rejects_bad_noise_weight(R):
     tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
-    with pytest.raises(ValueError, match="noise weight R"):
+    with pytest.raises(ValueError, match="^noise weight R=.* must be finite and nonnegative$"):
         PredictionOracle(tr, R=R, seed=1)
+
+
+@pytest.mark.parametrize("R", [0, 2, 0.25, np.float32(0.5), np.int64(3)])
+def test_oracle_takes_any_real_scalar_noise_weight(R):
+    tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
+    assert PredictionOracle(tr, R=R, seed=1).R == float(R)
 
 
 def _noise_rows(oracle):
@@ -223,6 +231,45 @@ def test_predict_window_matches_rowwise_formulation(R):
             assert block.shape == (W, starts.size, tr.N)
             for b, tau in enumerate(starts):
                 assert block[:, b].tobytes() == oracle.predict_window(int(tau), W).tobytes()
+
+
+def _gathered_at_t_forecast(oracle, t, tau):
+    """Forecasts whose walk base is gathered at t's shape, one base row per
+    slot: ``C[s] - C[min(s, max(tau, 1) - 1)]``, zero for a past slot by
+    cancellation.  The reference for the per-forecast-time base."""
+    T = oracle.trace.T
+    C = np.zeros((T + 1, oracle.trace.N))
+    np.cumsum(_noise_rows(oracle), axis=0, out=C[1:])
+    s = np.minimum(np.maximum(t, 1), T)
+    walk = C[s] - C[np.minimum(s, np.maximum(tau, 1) - 1)]
+    out = np.maximum(oracle.trace.lam[s - 1] * (1.0 + oracle.R * walk), 0.0)
+    out[s != t] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("R", [0.03, 0.5, 2.0])
+def test_forecasts_equal_the_walk_gathered_per_slot_byte_for_byte(R):
+    """Seeded grids of (t, tau) with past slots, tau < 1, tau > T and t
+    outside 1 .. T, through every forecast method and start shape."""
+    tr = gen_replacement(ReplacementParams(N=9, T=30, U=60), seed=2)
+    oracle = PredictionOracle(tr, R=R, seed=11)
+    rng = rng_stream(3, "test:forecast-bits")
+
+    def same(got, t, tau):
+        assert got.tobytes() == _gathered_at_t_forecast(oracle, t, tau).tobytes()
+
+    for t, tau in rng.integers(-8, tr.T + 9, (300, 2)):
+        same(oracle.predict_row(int(t), int(tau)), t, tau)
+    for lead in range(tr.T + 4):
+        slots = np.arange(1, tr.T + 1)
+        same(oracle.predict_lead(lead), slots, slots - lead)
+    for W in (0, 1, 5, 40):
+        for tau in range(-8, tr.T + 9):
+            same(oracle.predict_window(tau, W), np.arange(W) + tau, tau)
+            starts = np.array([tau])
+            same(oracle.predict_window(starts, W), np.add.outer(np.arange(W), starts), starts)
+        starts = rng.integers(-8, tr.T + 9, 17)
+        same(oracle.predict_window(starts, W), np.add.outer(np.arange(W), starts), starts)
 
 
 @pytest.mark.parametrize("R", [0.0, 0.4])
