@@ -7,7 +7,8 @@ import numpy as np
 
 from edgecache import (ArrivalTrace, CostModel, path_length,
                        project_bounded_simplex, project_bounded_simplex_oracle,
-                       slot_cost, top_m_indicator, total_cost_F)
+                       slot_cost, top_m_indicator)
+from edgecache.model import per_slot_costs, running_total
 
 # --- a tiny two-service world -------------------------------------------
 cost = CostModel.uniform(alpha=0.05, beta_star=10.0, n_services=2, M=1)
@@ -20,7 +21,7 @@ print("cost of flipping the cache:", slot_cost(trace.lam[0], [1, 0], [0, 1], cos
 
 # caching service 1 for two slots, then switching to service 2
 decisions = np.array([[1, 0], [1, 0], [0, 1]])
-print("total cost of a 3-slot plan:", total_cost_F(trace, decisions, cost))
+print("total cost of a 3-slot plan:", running_total(*per_slot_costs(trace, decisions, cost)))
 
 # the top-M indicator drives both the policy warm start and the
 # non-stationarity measure ("path length")

@@ -6,7 +6,7 @@
 import numpy as np
 
 from edgecache import (ArrivalTrace, CostModel, RoscConfig, exact_opt_dp,
-                       path_length, regret, regret_bound, run_rosc, theorem_cost)
+                       path_length, regret_bound, run_rosc, theorem_cost)
 
 rng = np.random.default_rng(1)
 
@@ -32,7 +32,7 @@ print(f"exact dynamic optimum: {opt.total_cost:.2f}")
 W, K, seeds = 3, 20, 200
 costs = [run_rosc(trace, RoscConfig(cost=cost, W=W, K=K, seed=s)).total_cost
          for s in range(seeds)]
-avg_regret = regret(float(np.mean(costs)), opt.total_cost)
+avg_regret = float(np.mean(costs)) - opt.total_cost
 print(f"mean cost over {seeds} seeds: {np.mean(costs):.2f}"
       f"  -> regret {avg_regret:.2f}")
 

@@ -2,7 +2,7 @@
 a dynamic-regret benchmark harness."""
 
 from .model import (ArrivalTrace, CostModel, DimensionError, RunRecord,
-                    slot_cost, total_cost_F, top_m_indicator, path_length,
+                    slot_cost, top_m_indicator, path_length,
                     load_trace, save_trace)
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .gradient_pgd import aux_cost_total, g_vec, offline_pgd
@@ -14,6 +14,6 @@ from .baselines import (InstanceTooLargeError, chc_policy, exact_opt_dp,
 from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
                         SqrtChurnParams, gen_poisson, gen_replacement,
                         gen_sqrt_churn)
-from .bench import ExperimentSpec, regret, regret_bound, run_experiment, theorem_cost
+from .bench import ExperimentSpec, regret_bound, run_experiment, theorem_cost
 
 __version__ = "0.1.0"

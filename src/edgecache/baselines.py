@@ -245,9 +245,10 @@ def exact_opt_dp(trace: ArrivalTrace, cost: CostModel) -> RunRecord:
 
 
 def pseudo_opt(trace: ArrivalTrace, cost: CostModel, W_big: int = 300) -> RunRecord:
-    """Fractional approximation of the dynamic optimum: many synchronous
-    PGD sweeps over the whole horizon, costed fractionally.  A relaxation,
-    so it can dip below the true integer optimum."""
+    """Fractional stand-in for the dynamic optimum: many synchronous PGD
+    sweeps over the whole horizon, costed fractionally.  Caching is a
+    min-cost flow, whose LP relaxation has integral optima, so no fractional
+    plan costs less than the optimum: this is an upper reference."""
     check_width(trace, cost)
     check_count("W_big", W_big, low=0)
     t0 = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Experiment runner and metrics: regret, the theoretical regret ceiling,
+"""Experiment runner and metrics: the theoretical regret ceiling,
 multi-seed sweeps, and CSV/JSON reporting.
 
 A sweep varies one axis (cost ratio, capacity M, window W, or noise weight
@@ -19,17 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .model import ArrivalTrace, CostModel, RunRecord
+from .model import ArrivalTrace, CostModel, RunRecord, check_count, check_real
 from .rosc import RoscConfig, run_rosc
 from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
                         SqrtChurnParams, gen_poisson, gen_replacement,
                         gen_sqrt_churn)
-
-
-def regret(policy_cost: float, reference_cost: float) -> float:
-    """Signed cost gap to a reference; negative is possible when the
-    reference is itself an approximation."""
-    return float(policy_cost - reference_cost)
 
 
 def regret_bound(cost: CostModel, N: int, T: int, U: float, K: int, W: int,
@@ -46,15 +40,10 @@ def regret_bound(cost: CostModel, N: int, T: int, U: float, K: int, W: int,
 def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
                        W: int, H_T: float) -> dict:
     """The ``regret_bound`` ceiling split into its tracking, rounding and
-    churn terms, with their sum as ``total``; N, T, K, W are integers >= 1."""
-    for name, value in (("N", N), ("T", T), ("K", K), ("W", W)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name}={value!r} must be an integer of at least 1")
-    if N < cost.M:
-        raise ValueError(f"N={N} is below the capacity M={cost.M}")
-    for name, value in (("U", U), ("H_T", H_T)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name}={value} must be finite and nonnegative")
+    churn terms, with their sum as ``total``; N >= M, T, K, W >= 1 are integers."""
+    N, T, K, W = (check_count(name, value, low) for name, value, low in
+                  (("N", N, cost.M), ("T", T, 1), ("K", K, 1), ("W", W, 1)))
+    U, H_T = check_real("U", U, 0), check_real("H_T", H_T, 0)
     a, bs, M = cost.alpha, cost.beta_star, cost.M
     tracking = (6.0 * math.sqrt(2.0 * M) * bs * (a + 3.0 * bs) / (a * W)
                 + 3.0 * bs * N) * math.sqrt(H_T * T)
@@ -67,7 +56,7 @@ def regret_bound_terms(cost: CostModel, N: int, T: int, U: float, K: int,
 def theorem_cost(cost: CostModel, H_T: float, T: int) -> CostModel:
     """``cost`` at the step size the ceiling assumes: gamma = sqrt(H_T / T),
     which sets ``CostModel.eta`` = gamma / (12 b*)."""
-    gamma = math.sqrt(H_T / T)
+    gamma = math.sqrt(check_real("H_T", H_T, 0) / check_count("T", T, 1))
     if not (0 < gamma < 1):
         raise ValueError(f"theorem mode gives gamma={gamma:.4g} outside (0, 1); "
                          "needs 0 < H_T < T")
@@ -113,17 +102,15 @@ class ExperimentSpec:
         if not self.values:
             raise ValueError("at least one sweep value is required")
         if self.axis in ("M", "W"):
-            if not all(float(v).is_integer() for v in self.values):
+            if not all(check_real(self.axis, v).is_integer() for v in self.values):
                 raise ValueError(f"{self.axis} values must be whole numbers")
             self.values = [int(v) for v in self.values]
-        R_values = self.values if self.axis == "R" else [self.base.get("R", 0.0)]
-        if not all(math.isfinite(v) and v >= 0 for v in R_values):
-            raise ValueError("noise weight R must be finite and nonnegative")
+        for R in self.values if self.axis == "R" else [self.base.get("R", 0.0)]:
+            check_real("noise weight R", R, 0)
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; available: {sorted(POLICIES)}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        check_count("jobs", self.jobs, 1)
 
 
 def make_trace(workload: str, params: dict, seed: int) -> ArrivalTrace:

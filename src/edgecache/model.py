@@ -14,7 +14,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-import sys
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,13 +28,60 @@ class DimensionError(ValueError):
     """Vector/matrix length mismatch between related arguments."""
 
 
-def check_count(name: str, value, low: int | None = None) -> None:
-    """Refuse a size that is not a Python or numpy integer (2.5, "3", True),
-    or that is below ``low``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (low is not None and value < low)):
-        at_least = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _refuse(name: str, kind: str, value, low, high, open_low=False, open_high=False):
+    top = "2**63 - 1" if high == INT64_MAX else high
+    span = ("(" if open_low or low == -math.inf else "[") + f"{low}, {top}" + (
+        ")" if open_high or high == math.inf else "]")
+    raise ValueError(f"{name} must be {kind} in {span}, got {value!r}")
+
+
+def check_count(name: str, value, low=-math.inf, high=INT64_MAX) -> int:
+    """``value`` as an int: a Python or numpy integer (not a bool or a
+    timedelta) in [low, high].  The default ceiling is int64's, where every
+    numpy size lives; a seed, which is any integer, passes ``high=math.inf``."""
+    if (isinstance(value, (bool, np.timedelta64)) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        _refuse(name, "an integer", value, low, high)
+    return int(value)
+
+
+def check_real(name: str, value, low=-math.inf, high=math.inf, *,
+               open_low: bool = False, open_high: bool = False) -> float:
+    """``value`` as a float: a finite real scalar (int, Fraction, numpy int or
+    float) in [low, high], an end open when asked.  Bools, strings, None,
+    complex values, arrays (0-d too), NaN, +-inf and ints or Fractions past
+    float64 raise ValueError naming ``name``."""
+    try:
+        number = (float(value) if isinstance(value, numbers.Real)
+                  and not isinstance(value, (bool, np.timedelta64)) else math.nan)
+    except OverflowError:                       # an int or Fraction past float64
+        number = math.nan
+    if not (math.isfinite(number) and (low < number if open_low else low <= number)
+            and (number < high if open_high else number <= high)):
+        _refuse(name, "a finite real", value, low, high, open_low, open_high)
+    return number
+
+
+def real_array(name: str, values, low=-math.inf, *, open_low: bool = False) -> np.ndarray:
+    """``values`` as a float64 array (not a copy when it already is one) whose
+    every entry would pass ``check_real(name, entry, low)``; the first that
+    would not, or a ragged nesting, raises its ValueError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array, got {values!r}") from None
+    if arr.dtype.kind not in "iuf":     # bools, strings, complex, objects: entry by entry
+        arr = np.array([check_real(name, v, low, open_low=open_low) for v in arr.flat],
+                       dtype=float).reshape(arr.shape)
+    with np.errstate(over="ignore"):    # a longdouble past float64 turns inf, refused below
+        arr = arr.astype(float, copy=False)
+    ok = np.isfinite(arr) & (arr > low if open_low else arr >= low)
+    if not ok.all():
+        check_real(name, float(arr[~ok][0]), low, open_low=open_low)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -52,21 +100,15 @@ class CostModel:
     gamma: float = 0.05
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
+        beta = real_array("beta", self.beta, 0, open_low=True)
+        if beta.ndim != 1 or beta.size == 0:
+            raise ValueError("beta must be a vector of positive costs")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        for name, value in (("alpha", self.alpha), ("beta", beta), ("gamma", self.gamma)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if beta.ndim != 1 or beta.size == 0 or np.any(beta <= 0):
-            raise ValueError("beta must be a vector of positive costs")
-        if not (0 < self.gamma < 1):
-            raise ValueError("gamma must lie in (0, 1)")
-        check_count("M", self.M)
-        if not (1 <= self.M <= beta.size):
-            raise ValueError(f"M={self.M} outside [1, N={beta.size}]")
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0, open_low=True))
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0, 1,
+                                                     open_low=True, open_high=True))
+        check_count("M", self.M, 1, beta.size)
 
     @property
     def eta(self) -> float:
@@ -81,8 +123,9 @@ class CostModel:
     def uniform(cls, alpha: float, beta_star: float, n_services: int, M: int,
                 gamma: float = 0.05) -> "CostModel":
         """All services share the same instantiating cost beta_star."""
-        return cls(alpha=alpha, beta=np.full(n_services, float(beta_star)),
-                   M=M, gamma=gamma)
+        beta_star = check_real("beta_star", beta_star, 0, open_low=True)
+        n_services = check_count("n_services", n_services, 1)
+        return cls(alpha=alpha, beta=np.full(n_services, beta_star), M=M, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -95,15 +138,13 @@ class ArrivalTrace:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
+        lam = real_array("lam", self.lam, 0)
         if lam.ndim != 2 or lam.shape[0] < 1 or lam.shape[1] < 1:
-            raise DimensionError(f"trace must be a T x N matrix, got {lam.shape}")
-        if not np.isfinite(lam).all():
-            raise ValueError("lam must hold finite arrival counts")
-        if np.any(lam < 0):
-            raise ValueError("arrival counts must be nonnegative")
-        if self.U is not None and np.any(lam.sum(axis=1) > self.U + FEAS_TOL):
-            raise ValueError("a slot exceeds the declared per-slot cap U")
+            raise DimensionError(f"lam must be a T x N matrix, got shape {lam.shape}")
+        if self.U is not None:
+            object.__setattr__(self, "U", check_real("U", self.U, 0))
+            if np.any(lam.sum(axis=1) > self.U + FEAS_TOL):
+                raise ValueError("a slot exceeds the declared per-slot cap U")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -144,16 +185,6 @@ def slot_cost(lambda_row, x_prev, x_cur, cost: CostModel) -> tuple[float, float]
             float(np.dot(cost.beta, np.maximum(xc - xp, 0.0))))
 
 
-def total_cost_F(trace: ArrivalTrace, decisions, cost: CostModel) -> float:
-    """Total cost of a decision sequence over the whole horizon.
-
-    ``decisions`` is a length-T sequence of vectors (binary or fractional);
-    the slot-0 cache is empty, so slot 1 pays instantiation for everything
-    it caches.
-    """
-    return running_total(*per_slot_costs(trace, decisions, cost))
-
-
 def per_slot_costs(trace: ArrivalTrace, decisions, cost: CostModel):
     """Per-slot (forwarding, switching) arrays for a decision sequence:
     ``slot_cost`` of every slot at once, from an empty slot-0 cache."""
@@ -190,9 +221,7 @@ def top_m_indicator(lam, M: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim not in (1, 2):
         raise DimensionError(f"lam must be a vector or a T x N matrix, got {lam.shape}")
-    check_count("M", M, low=0)
-    if M > lam.shape[-1]:
-        raise ValueError(f"M={M} exceeds the number of services {lam.shape[-1]}")
+    check_count("M", M, 0, lam.shape[-1])
     # Stable sort on the negated rows: equal counts keep index order.
     top = np.argsort(-lam, axis=-1, kind="stable")[..., :M]
     theta = np.zeros(lam.shape, dtype=np.int8)
@@ -282,9 +311,8 @@ def load_trace(csv_path) -> ArrivalTrace:
         if not isinstance(doc, dict):
             raise ValueError(f"{sidecar}: expected a JSON object")
         U = doc.get("U")
-        # a finite number; the comparison is False for NaN, inf and huge ints
-        if U is not None and not (type(U) in (int, float) and abs(U) <= sys.float_info.max):
-            raise ValueError(f"{sidecar}: U must be null or a finite number, got {U!r}")
+        if U is not None:
+            U = check_real(f"{sidecar}: U", U, 0)
         meta = {k: doc.get(k) for k in ("seed", "generator", "params")
                 if doc.get(k) is not None}
     return ArrivalTrace(lam=lam, U=U, meta=meta)

@@ -16,6 +16,7 @@ Decisions are always charged against the true arrivals, never forecasts.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ class RoscConfig:
     def __post_init__(self):
         check_count("W", self.W, low=0)
         check_count("K", self.K, low=1)
-        check_count("seed", self.seed)
+        check_count("seed", self.seed, high=math.inf)
 
     def as_dict(self) -> dict:
         return {

@@ -54,11 +54,8 @@ class SamplePathEnsemble:
     @classmethod
     def initial(cls, K: int, N: int, M: int, k_star: int) -> "SamplePathEnsemble":
         check_count("K", K, low=1)
-        check_count("M", M)
-        if not (0 <= k_star < K):
-            raise ValueError("k_star outside [0, K)")
-        if not (1 <= M <= N):
-            raise ValueError(f"M={M} outside [1, N={N}]")
+        check_count("M", M, 1, N)
+        check_count("k_star", k_star, 0, K - 1)
         return cls(M=M, S=np.zeros((K, N), dtype=np.int8), k_star=k_star)
 
     @property

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import baselines
 from .gradient_pgd import g_vec, offline_pgd
-from .model import ArrivalTrace, CostModel, path_length, top_m_indicator
+from .model import ArrivalTrace, CostModel, check_count, path_length, top_m_indicator
 from .projection import project_bounded_simplex, project_bounded_simplex_oracle
 from .rosc import RoscConfig, fractional_trace, run_rosc
 from .sampler import (SamplePathEnsemble, quantize_probs, rng_stream,
@@ -254,8 +254,8 @@ def run_checks(names=None, **overrides) -> dict:
     """Run the named suites (all by default) and aggregate a report."""
     names = list(CHECKS) if not names else list(names)
     for key in ("cases", "instances", "updates", "seeds"):
-        if overrides.get(key) is not None and overrides[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {overrides[key]}")
+        if overrides.get(key) is not None:
+            check_count(key, overrides[key], 1)
     report = {"checks": {}, "pass": True}
     for name in names:
         if name not in CHECKS:

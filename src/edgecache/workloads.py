@@ -15,12 +15,12 @@ Both are pure functions of (params, seed).
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .model import ArrivalTrace, check_count
+from .model import ArrivalTrace, check_count, check_real
 from .sampler import rng_stream
 
 
@@ -36,6 +36,11 @@ def _largest_remainder(total: int, shares: np.ndarray) -> np.ndarray:
     return base
 
 
+def _real(params, name: str, low=-math.inf, high=math.inf, **ends) -> None:
+    """Check a real field of a frozen ``*Params`` and keep it as a float."""
+    object.__setattr__(params, name, check_real(name, getattr(params, name), low, high, **ends))
+
+
 @dataclass(frozen=True)
 class ReplacementParams:
     N: int
@@ -46,6 +51,18 @@ class ReplacementParams:
     num_ranks: int | None = None     # default: min(N // 2, 100), at least 1
     thinning: float | None = None    # keep-probability; None = exact totals
 
+    def __post_init__(self):
+        check_count("N", self.N, 1)
+        check_count("T", self.T, 1)
+        check_count("U", self.U, 0, 2**53)        # request totals exact in float64
+        _real(self, "zipf_exponent", 0)
+        if not (isinstance(self.rank_lifetime_mean, float)       # inf: never replaced
+                and self.rank_lifetime_mean == math.inf):
+            _real(self, "rank_lifetime_mean", 0, open_low=True)
+        check_count("num_ranks", self.resolved_ranks(), 1, self.N)
+        if self.thinning is not None:
+            _real(self, "thinning", 0, 1)
+
     def resolved_ranks(self) -> int:
         if self.num_ranks is not None:
             return self.num_ranks
@@ -55,8 +72,6 @@ class ReplacementParams:
 def gen_replacement(params: ReplacementParams, seed: int) -> ArrivalTrace:
     """Zipf ladder with randomly replaced rank occupants."""
     R = params.resolved_ranks()
-    if not (1 <= R <= params.N):
-        raise ValueError(f"num_ranks={R} outside [1, N={params.N}]")
     rng = rng_stream(seed, "workload:replacement")
     shares = np.arange(1, R + 1, dtype=float) ** (-params.zipf_exponent)
     rank_requests = _largest_remainder(params.U, shares)
@@ -91,11 +106,21 @@ class PoissonParams:
     per_service_volume: float = 2.0
     popularity_shape: float = 2.0    # Pareto shape of the per-service factor
 
+    def __post_init__(self):
+        check_count("N", self.N, 1)
+        check_count("T", self.T, 1)
+        if not (isinstance(self.groups, (tuple, list)) and all(
+                isinstance(pair, (tuple, list)) and len(pair) == 2 for pair in self.groups)):
+            raise ValueError(f"groups must be (lifetime, rate) pairs, got {self.groups!r}")
+        for i, (lifetime, rate) in enumerate(self.groups):
+            check_real(f"groups[{i}] lifetime", lifetime, 0, open_low=True)
+            check_real(f"groups[{i}] rate", rate, 0)
+        _real(self, "per_service_volume", 0)
+        _real(self, "popularity_shape", 0, open_low=True)
+
 
 def gen_poisson(params: PoissonParams, seed: int) -> ArrivalTrace:
     """Group-structured births with finite lifetimes and noisy volumes."""
-    if any(lt <= 0 or rate < 0 for lt, rate in params.groups):
-        raise ValueError("group lifetimes must be positive and rates nonnegative")
     rng = rng_stream(seed, "workload:poisson")
     free = list(range(params.N))             # FIFO: expired ids are recycled oldest-first
     active: dict[int, tuple[int, float]] = {}  # id -> (expiry slot, volume factor)
@@ -144,11 +169,17 @@ class SqrtChurnParams:
     zipf_exponent: float = 0.8
     blips_per_sqrt: float = 1.0
 
+    def __post_init__(self):
+        check_count("N", self.N, 2)
+        check_count("M", self.M, 1, self.N - 1)     # M + 1 rankable services
+        check_count("T", self.T, 1)
+        check_count("U", self.U, 0, 2**53)
+        _real(self, "zipf_exponent", 0)
+        _real(self, "blips_per_sqrt", 0, math.sqrt(self.T))   # at most one blip a slot
+
 
 def gen_sqrt_churn(params: SqrtChurnParams, seed: int) -> ArrivalTrace:
     R = min(params.N, max(2 * params.M, params.M + 2))
-    if R < params.M + 1:
-        raise ValueError("need at least M + 1 rankable services")
     rng = rng_stream(seed, "workload:sqrt_churn")
     shares = np.arange(1, R + 1, dtype=float) ** (-params.zipf_exponent)
     base = _largest_remainder(params.U, shares)
@@ -188,14 +219,9 @@ class PredictionOracle:
     """
 
     def __init__(self, trace: ArrivalTrace, R: float = 0.0, seed: int = 0):
-        # a real scalar, bools refused as check_count refuses them
-        if (isinstance(R, (bool, np.bool_)) or not isinstance(R, numbers.Real)
-                or not 0 <= R < np.inf):
-            raise ValueError(f"noise weight R={R!r} must be finite and nonnegative")
-        check_count("seed", seed)
         self.trace = trace
-        self.R = float(R)
-        self.seed = int(seed)
+        self.R = check_real("noise weight R", R, 0)
+        self.seed = check_count("seed", seed, high=math.inf)
         self._sums = None           # C, drawn on the first noisy query
 
     def _forecast(self, t, tau) -> np.ndarray:

@@ -9,8 +9,7 @@ from edgecache.baselines import (InstanceTooLargeError, chc_policy,
                                  exact_opt_dp, pseudo_opt, rhc_policy,
                                  rhc_window_plan, sopt_policy)
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
-                             per_slot_costs, running_total, top_m_indicator,
-                             total_cost_F)
+                             per_slot_costs, running_total, top_m_indicator)
 from edgecache.rosc import RoscConfig, run_rosc
 from edgecache.sampler import rng_stream
 from edgecache.workloads import (PoissonParams, PredictionOracle,
@@ -501,8 +500,9 @@ def test_sopt_is_the_best_static_cache():
                          M=int(rng.integers(1, N + 1)))
         cases.append((ArrivalTrace(lam=lam), cost))
     for trace, cost in cases:
-        best = min(total_cost_F(trace, np.tile(np.isin(np.arange(trace.N), chosen),
-                                               (trace.T, 1)), cost)
+        best = min(running_total(*per_slot_costs(
+                       trace, np.tile(np.isin(np.arange(trace.N), chosen), (trace.T, 1)),
+                       cost))
                    for m in range(cost.M + 1)
                    for chosen in itertools.combinations(range(trace.N), m))
         assert sopt_policy(trace, cost).total_cost == pytest.approx(best, rel=1e-9, abs=1e-9)
@@ -594,7 +594,7 @@ def test_all_baselines_respect_capacity():
                 pseudo_opt(trace, cost, 30)):
         assert np.all(rec.decisions.sum(axis=1) <= cost.M + 1e-9)
         assert rec.total_cost == pytest.approx(
-            total_cost_F(trace, rec.decisions, cost), rel=1e-12, abs=1e-9)
+            running_total(*per_slot_costs(trace, rec.decisions, cost)), rel=1e-12, abs=1e-9)
 
 
 def test_pseudo_opt_signed_gap_and_zero_iterations():
@@ -610,7 +610,7 @@ def test_pseudo_opt_signed_gap_and_zero_iterations():
     from edgecache.gradient_pgd import offline_pgd
     zero = pseudo_opt(trace, cost, 0)
     assert zero.total_cost == pytest.approx(
-        total_cost_F(trace, offline_pgd(trace, cost, 0), cost))
+        running_total(*per_slot_costs(trace, offline_pgd(trace, cost, 0), cost)))
 
 
 def test_pseudo_opt_forwarding_profile_matches_sopt_on_stationary_trace():

@@ -8,19 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret,
-                             regret_bound, regret_bound_terms, run_experiment,
+from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret_bound,
+                             regret_bound_terms, run_experiment,
                              run_policy, make_trace, theorem_cost)
 from edgecache.model import ArrivalTrace, CostModel
 from edgecache.rosc import RoscConfig, run_rosc
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_regret_examples():
-    assert regret(10.0, 10.0) == 0.0
-    assert regret(12.0, 10.0) == 2.0
-    assert regret(9.0, 10.0) == -1.0  # against an approximate reference
 
 
 def _cost(M=10, beta_star=10.0, alpha=0.05):
@@ -73,9 +67,16 @@ def test_regret_bound_monotone_in_w_and_k():
 
 
 @pytest.mark.parametrize("arg, value, message", [
-    ("N", -3, "N=-3"), ("N", 0, "N=0"), ("N", 4, "N=4 is below the capacity M=5"),
-    ("N", 40.0, "N=40.0"), ("T", 0, "T=0"), ("T", 2000.5, "T=2000.5"),
-    ("K", 0, "K=0"), ("K", True, "K=True"), ("W", 2.5, "W=2.5"), ("W", -1, "W=-1"),
+    ("N", -3, "N must be an integer .*, got -3"),
+    ("N", 0, "N must be an integer .*, got 0"),
+    ("N", 4, "N must be an integer in \\[5, .*, got 4"),
+    ("N", 40.0, "N must be an integer .*, got 40.0"),
+    ("T", 0, "T must be an integer .*, got 0"),
+    ("T", 2000.5, "T must be an integer .*, got 2000.5"),
+    ("K", 0, "K must be an integer .*, got 0"),
+    ("K", True, "K must be an integer .*, got True"),
+    ("W", 2.5, "W must be an integer .*, got 2.5"),
+    ("W", -1, "W must be an integer .*, got -1"),
 ], ids=["N-negative", "N-0", "N-below-M", "N-float", "T-0", "T-fraction",
         "K-0", "K-bool", "W-fraction", "W-negative"])
 def test_regret_bound_refuses_sizes_it_cannot_bound(arg, value, message):
@@ -83,6 +84,15 @@ def test_regret_bound_refuses_sizes_it_cannot_bound(arg, value, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         regret_bound(_cost(M=5), **{**args, arg: value})
     assert regret_bound(_cost(M=5), **{**args, arg: np.int64(5)}) > 0
+
+
+@pytest.mark.parametrize("H_T, T, name", [
+    (6.0, 0, "T"), (6.0, 20.0, "T"), (np.nan, 20, "H_T"), (10**400, 20, "H_T"),
+], ids=["T-0", "T-float", "H_T-nan", "H_T-huge-int"])
+def test_theorem_cost_refuses_bad_horizon_by_name(H_T, T, name):
+    """T = 0 divided by zero before the boundary checked T."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        theorem_cost(CostModel.uniform(0.05, 8.0, 6, 2), H_T, T)
 
 
 def test_theorem_cost():
@@ -202,6 +212,8 @@ def test_spec_validation():
         _tiny_spec(None, policies=["rosc", "magic"])
     with pytest.raises(ValueError, match="jobs"):
         _tiny_spec(None, jobs=0)
+    with pytest.raises(ValueError, match="^jobs must be an integer"):
+        _tiny_spec(None, jobs=1.5)
     with pytest.raises(ValueError, match="noise weight"):
         _tiny_spec(None, axis="R", values=[0.0, -1.0])
     assert _tiny_spec(None, axis="W", values=[1.0, 3]).values == [1, 3]

@@ -44,8 +44,10 @@ def test_generate_sqrt_churn_m_flag_overrides_params_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--model", "replacement", "--N", "10", "--num-ranks", "20"], "num_ranks=20"),
-    (["--model", "poisson", "--groups", "[[0, 1]]"], "lifetimes must be positive"),
+    (["--model", "replacement", "--N", "10", "--num-ranks", "20"],
+     "num_ranks must be an integer in [1, 10], got 20"),
+    (["--model", "poisson", "--groups", "[[0, 1]]"],
+     "groups[0] lifetime must be a finite real in (0, inf), got 0"),
     (["--model", "poisson", "--zipf", "1.2"], "zipf_exponent"),
 ], ids=["num-ranks-above-N", "zero-lifetime-group", "zipf-on-poisson"])
 def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, message):
@@ -55,13 +57,28 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "replacement", "--lifetime-mean", "0"], "rank_lifetime_mean must be"),
+    (["--model", "sqrt-churn", "--N", "10", "--M", "0"], "M must be"),
+], ids=["zero-lifetime-mean", "churn-M-0"])
+def test_generate_refuses_params_its_generator_cannot_use(tmp_path, capsys, argv, message):
+    """A zero mean lifetime ended in a ZeroDivisionError traceback, and M = 0
+    wrote a sqrt-churn trace whose blips swapped rank 1 with the last rank."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", *argv, "--T", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_refuses_a_negative_path_length_m(tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--model", "replacement", "--N", "12", "--T", "5",
               "--M=-1", "--out", str(out)])
     assert exc.value.code == 2
-    assert "M must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert "M must be an integer in [0, 12], got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -190,7 +207,7 @@ def test_run_rejects_capacity_above_services(tmp_path, capsys):
         main(["run", "--policy", "rhc", "--trace", str(trace), "--M", "20",
               "--out", str(tmp_path / "m20")])
     assert exc.value.code == 2
-    assert "M=20" in capsys.readouterr().err
+    assert "M must be an integer in [1, 12], got 20" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("R", ["-0.5", "nan", "inf"])
@@ -226,8 +243,8 @@ def test_run_malformed_trace_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("sidecar, message", [
     ("[1, 2]", "expected a JSON object"),
-    ('{"U": "50"}', "U must be null or a finite number"),
-    ('{"U": NaN}', "U must be null or a finite number"),
+    ('{"U": "50"}', "U must be a finite real in [0, inf), got '50'"),
+    ('{"U": NaN}', "U must be a finite real in [0, inf), got nan"),
     ("{U: 50}", "not valid JSON"),
 ], ids=["array", "string-U", "nan-U", "broken-json"])
 def test_run_malformed_trace_sidecar_is_usage_error(tmp_path, capsys, sidecar, message):
@@ -274,7 +291,7 @@ def test_run_ratio_zero_is_usage_error(tmp_path, capsys):
         main(["run", "--policy", "sopt", "--trace", str(trace), "--M", "2",
               "--ratio", "0", "--out", str(tmp_path / "r0")])
     assert exc.value.code == 2
-    assert "beta must be a vector of positive costs" in capsys.readouterr().err
+    assert "beta_star must be a finite real in (0, inf), got 0.0" in capsys.readouterr().err
 
 
 def test_run_replays_from_its_effective_config(tmp_path):
@@ -429,7 +446,7 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     (["--workload", "poisson", "--U", "5"], "--workload poisson"),
     (["--workload", "sqrt_churn", "--M", "20"], "--workload sqrt_churn"),
     (["--axis", "M", "--values", "2.5"], "whole numbers"),
-    (["--axis", "W", "--values", "1,nan"], "whole numbers"),
+    (["--axis", "W", "--values", "1,nan"], "W must be a finite real in (-inf, inf)"),
     (["--policies", "rosc,magic"], "'magic'"),
     (["--jobs", "0"], "jobs"),
     (["--axis", "R", "--values=-1,0"], "noise weight R"),
@@ -510,9 +527,13 @@ def test_bound_rejects_w0():
 
 
 @pytest.mark.parametrize("flag, value, name", [
-    ("--K", "0", "K=0"), ("--K", "-5", "K=-5"), ("--T", "0", "T=0"),
-    ("--U", "nan", "U=nan"), ("--U", "-1", "U=-1"),
-    ("--HT", "-1", "H_T=-1"), ("--HT", "inf", "H_T=inf"),
+    ("--K", "0", "K must be an integer in [1, 2**63 - 1], got 0"),
+    ("--K", "-5", "K must be an integer in [1, 2**63 - 1], got -5"),
+    ("--T", "0", "T must be an integer in [1, 2**63 - 1], got 0"),
+    ("--U", "nan", "U must be a finite real in [0, inf), got nan"),
+    ("--U", "-1", "U must be a finite real in [0, inf), got -1.0"),
+    ("--HT", "-1", "H_T must be a finite real in [0, inf), got -1.0"),
+    ("--HT", "inf", "H_T must be a finite real in [0, inf), got inf"),
 ], ids=["K-0", "K-negative", "T-0", "U-nan", "U-negative", "HT-negative", "HT-inf"])
 def test_bound_rejects_bad_counts(capsys, flag, value, name):
     argv = {"--alpha": "0.05", "--beta-star": "10", "--M": "2", "--N": "10",
@@ -530,4 +551,4 @@ def test_bound_rejects_capacity_above_services(capsys):
               "--N", "5", "--T", "100", "--U", "50", "--K", "10",
               "--W", "2", "--HT", "5"])
     assert exc.value.code == 2
-    assert "M=10" in capsys.readouterr().err
+    assert "M must be an integer in [1, 5], got 10" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
                              load_trace, path_length, per_slot_costs,
                              running_total, save_trace, slot_cost,
-                             top_m_indicator, total_cost_F)
+                             top_m_indicator)
 
 
 def _slot(lam, prev, cur, alpha=0.05, beta=(10.0, 10.0)):
@@ -48,11 +50,12 @@ def _cost(n, alpha=0.05, beta_star=10.0, M=1):
 
 def test_total_cost_examples():
     tr = ArrivalTrace(lam=[[100, 50]])
-    assert total_cost_F(tr, [[1, 0]], _cost(2)) == pytest.approx(12.5)
+    assert running_total(*per_slot_costs(tr, [[1, 0]], _cost(2))) == pytest.approx(12.5)
     tr2 = ArrivalTrace(lam=[[100, 50], [100, 50]])
-    assert total_cost_F(tr2, [[1, 0], [1, 0]], _cost(2)) == pytest.approx(15.0)
+    assert (running_total(*per_slot_costs(tr2, [[1, 0], [1, 0]], _cost(2)))
+            == pytest.approx(15.0))
     zeros = np.zeros((2, 2))
-    assert total_cost_F(tr2, zeros, _cost(2)) == pytest.approx(0.05 * 300)
+    assert running_total(*per_slot_costs(tr2, zeros, _cost(2))) == pytest.approx(0.05 * 300)
 
 
 def test_running_total_refuses_an_overflowing_total():
@@ -67,10 +70,11 @@ def test_total_cost_permutation_invariant():
     dec = rng.integers(0, 2, (6, 5)).astype(float)
     beta = rng.uniform(1, 10, 5)
     cost = CostModel(alpha=0.05, beta=beta, M=3)
-    base = total_cost_F(ArrivalTrace(lam=lam), dec, cost)
+    base = running_total(*per_slot_costs(ArrivalTrace(lam=lam), dec, cost))
     perm = rng.permutation(5)
     cost_p = CostModel(alpha=0.05, beta=beta[perm], M=3)
-    permuted = total_cost_F(ArrivalTrace(lam=lam[:, perm]), dec[:, perm], cost_p)
+    permuted = running_total(*per_slot_costs(ArrivalTrace(lam=lam[:, perm]),
+                                             dec[:, perm], cost_p))
     assert permuted == pytest.approx(base, rel=1e-12)
 
 
@@ -143,7 +147,7 @@ def test_top_m_indicator_marks_every_row_of_a_matrix():
 
 @pytest.mark.parametrize("M", [-1, 2.5, True])
 def test_top_m_indicator_refuses_negative_or_non_integer_m(M):
-    with pytest.raises(ValueError, match="^M must be an integer >= 0"):
+    with pytest.raises(ValueError, match=r"^M must be an integer in \[0, 4\], got "):
         top_m_indicator(np.array([5.0, 9.0, 2.0, 7.0]), M)
 
 
@@ -222,6 +226,37 @@ def test_cost_model_rejects_non_finite_fields(field, bad):
         kw[field] = bad
     with pytest.raises(ValueError, match=rf"{field} .*finite"):
         CostModel(**kw)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: CostModel.uniform(10**400, 10.0, 4, 2), "alpha"),
+    (lambda: CostModel.uniform(0.05, 10**400, 4, 2), "beta_star"),
+    (lambda: CostModel(alpha=True, beta=np.full(4, 10.0), M=2), "alpha"),
+    (lambda: CostModel(alpha=0.05, beta=np.full(4, 10.0), M=2, gamma=np.array([.1])),
+     "gamma"),
+    (lambda: CostModel(alpha=0.05, beta=np.array([True, True]), M=1), "beta"),
+    (lambda: ArrivalTrace(lam=np.array([[1, 10**400]], dtype=object)), "lam"),
+    (lambda: ArrivalTrace(lam=[[1.0, "2"]]), "lam"),
+    (lambda: ArrivalTrace(lam=[[1.0], [2.0, 3.0]]), "lam"),
+    (lambda: ArrivalTrace(lam=[[1.0]], U=np.nan), "U"),
+    (lambda: ArrivalTrace(lam=[[1.0]], U=np.inf), "U"),
+    (lambda: ArrivalTrace(lam=[[1.0]], U=10**400), "U"),
+    (lambda: ArrivalTrace(lam=[[1.0]], U=Fraction(-1, 2)), "U"),
+], ids=["alpha-huge-int", "beta_star-huge-int", "alpha-bool", "gamma-array", "beta-bool",
+        "lam-object-huge-int", "lam-string", "lam-ragged", "U-nan", "U-inf", "U-huge-int",
+        "U-negative"])
+def test_model_knobs_are_refused_by_name(make, name):
+    """Before one boundary these raised OverflowError or TypeError, or were
+    accepted (alpha=True, U=nan)."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make()
+
+
+def test_model_knobs_are_kept_as_floats():
+    cost = CostModel(alpha=Fraction(1, 20), beta=[10, 20], M=1, gamma=np.float32(0.5))
+    assert type(cost.alpha) is float and type(cost.gamma) is float
+    assert cost.beta.dtype == np.float64
+    assert ArrivalTrace(lam=[[1, 2]], U=np.int64(5)).U == 5.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

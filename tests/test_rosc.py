@@ -7,8 +7,8 @@ import edgecache.rosc
 from edgecache import rowsplit
 from edgecache.baselines import pseudo_opt
 from edgecache.gradient_pgd import offline_pgd
-from edgecache.model import (ArrivalTrace, CostModel, top_m_indicator,
-                             total_cost_F)
+from edgecache.model import (ArrivalTrace, CostModel, per_slot_costs,
+                             running_total, top_m_indicator)
 from edgecache.rosc import RoscConfig, fractional_trace, run_rosc
 from edgecache.sampler import rng_stream
 from edgecache.validate import online_pgd_reference
@@ -71,7 +71,7 @@ def test_per_slot_costs_recompose_to_total_cost():
     trace = _instance(seed=4)
     cfg = RoscConfig(cost=_cost(trace.N), W=5, K=25, seed=1)
     rec = run_rosc(trace, cfg)
-    assert rec.total_cost == total_cost_F(trace, rec.decisions, cfg.cost)
+    assert rec.total_cost == running_total(*per_slot_costs(trace, rec.decisions, cfg.cost))
     assert rec.total_cost == pytest.approx(rec.forward.sum() + rec.switch.sum())
 
 

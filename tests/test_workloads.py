@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -149,10 +152,13 @@ def test_one_noise_draw_per_oracle_whatever_the_queries(monkeypatch):
 
 @pytest.mark.parametrize("R", [-0.5, np.nan, np.inf, np.float32(np.inf), "0.1",
                                np.array([0.1, 0.2]), np.array(0.1), True,
-                               np.bool_(False), None, 1 + 0j])
+                               np.bool_(False), None, 1 + 0j,
+                               pytest.param(10**400, id="huge-int"),
+                               pytest.param(Fraction(10**400), id="huge-fraction")])
 def test_oracle_rejects_bad_noise_weight(R):
     tr = gen_replacement(ReplacementParams(N=12, T=30, U=40), seed=0)
-    with pytest.raises(ValueError, match="^noise weight R=.* must be finite and nonnegative$"):
+    with pytest.raises(ValueError,
+                       match=r"^noise weight R must be a finite real in \[0, inf\), got "):
         PredictionOracle(tr, R=R, seed=1)
 
 
@@ -379,3 +385,32 @@ def test_prediction_error_std_matches_random_walk():
     errors = forecast - lam_val
     expected_std = np.sqrt(W) * R * lam_val
     assert np.std(errors) == pytest.approx(expected_std, rel=0.05)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: SqrtChurnParams(N=10, T=20, M=0), "M"),
+    (lambda: SqrtChurnParams(N=3, T=20, M=3), "M"),
+    (lambda: SqrtChurnParams(N=10, T=16, M=2, blips_per_sqrt=4.5), "blips_per_sqrt"),
+    (lambda: ReplacementParams(N=10, T=20, rank_lifetime_mean=0), "rank_lifetime_mean"),
+    (lambda: ReplacementParams(N=10, T=20, thinning=1.5), "thinning"),
+    (lambda: ReplacementParams(N=10, T=20, U=2**53 + 1), "U"),
+    (lambda: PoissonParams(N=10, T=20, groups=((10, -0.1),)), "groups[0] rate"),
+    (lambda: PoissonParams(N=10, T=20, groups=5), "groups"),
+    (lambda: PoissonParams(N=10, T=20, popularity_shape=0.0), "popularity_shape"),
+], ids=["churn-M-0", "churn-M-at-N", "churn-blips-past-one-a-slot", "lifetime-0",
+        "thinning-above-1", "U-past-2**53", "negative-rate", "groups-not-pairs",
+        "pareto-shape-0"])
+def test_generator_params_refuse_bad_values_by_name(make, name):
+    """M = 0 made the sqrt-churn blips swap rank 1 with the last rank, and a
+    zero lifetime divided by zero: each is refused when the params are built."""
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        make()
+
+
+def test_generator_params_keep_real_fields_as_floats():
+    params = ReplacementParams(N=10, T=20, zipf_exponent=Fraction(4, 5),
+                               rank_lifetime_mean=np.int64(50))
+    assert (params.zipf_exponent, params.rank_lifetime_mean) == (0.8, 50.0)
+    assert type(params.zipf_exponent) is float
+    forever = ReplacementParams(N=10, T=20, rank_lifetime_mean=np.inf)
+    assert forever.rank_lifetime_mean == np.inf
