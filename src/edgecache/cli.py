@@ -193,9 +193,6 @@ def cmd_sweep(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, parser) -> int:
-    for flag in ("cases", "instances", "updates", "runs"):
-        if getattr(args, flag) is not None and getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     names = args.checks.split(",") if args.checks else None
     try:
         report = validate.run_checks(names, cases=args.cases,

@@ -32,8 +32,7 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _refuse(name: str, kind: str, value, low, high, open_low=False, open_high=False):
-    top = "2**63 - 1" if high == INT64_MAX else high
-    span = ("(" if open_low or low == -math.inf else "[") + f"{low}, {top}" + (
+    span = ("(" if open_low or low == -math.inf else "[") + f"{low}, {high}" + (
         ")" if open_high or high == math.inf else "]")
     raise ValueError(f"{name} must be {kind} in {span}, got {value!r}")
 
@@ -105,9 +104,12 @@ class CostModel:
             raise ValueError("beta must be a vector of positive costs")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0, open_low=True))
-        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0, 1,
-                                                     open_low=True, open_high=True))
+        alpha = check_real("alpha", self.alpha, 0, open_low=True)
+        gamma = check_real("gamma", self.gamma, 0, 1, open_low=True, open_high=True)
+        # kept as given, unless numpy would compute on it as an object (a Fraction)
+        for name, number in (("alpha", alpha), ("gamma", gamma)):
+            if not isinstance(getattr(self, name), (int, float, np.number)):
+                object.__setattr__(self, name, number)
         check_count("M", self.M, 1, beta.size)
 
     @property
@@ -142,8 +144,7 @@ class ArrivalTrace:
         if lam.ndim != 2 or lam.shape[0] < 1 or lam.shape[1] < 1:
             raise DimensionError(f"lam must be a T x N matrix, got shape {lam.shape}")
         if self.U is not None:
-            object.__setattr__(self, "U", check_real("U", self.U, 0))
-            if np.any(lam.sum(axis=1) > self.U + FEAS_TOL):
+            if np.any(lam.sum(axis=1) > check_real("U", self.U, 0) + FEAS_TOL):
                 raise ValueError("a slot exceeds the declared per-slot cap U")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
@@ -312,7 +313,7 @@ def load_trace(csv_path) -> ArrivalTrace:
             raise ValueError(f"{sidecar}: expected a JSON object")
         U = doc.get("U")
         if U is not None:
-            U = check_real(f"{sidecar}: U", U, 0)
+            check_real(f"{sidecar}: U", U, 0)
         meta = {k: doc.get(k) for k in ("seed", "generator", "params")
                 if doc.get(k) is not None}
     return ArrivalTrace(lam=lam, U=U, meta=meta)

@@ -36,9 +36,13 @@ def _largest_remainder(total: int, shares: np.ndarray) -> np.ndarray:
     return base
 
 
-def _real(params, name: str, low=-math.inf, high=math.inf, **ends) -> None:
-    """Check a real field of a frozen ``*Params`` and keep it as a float."""
-    object.__setattr__(params, name, check_real(name, getattr(params, name), low, high, **ends))
+def _check_zipf(exponent, ranks: int) -> None:
+    """Refuse a Zipf exponent whose ``ranks`` shares would not add up in
+    float64: a negative one makes the last share, ranks ** -exponent, the
+    largest, and their sum at most ranks ** (1 - exponent)."""
+    top = math.log(np.finfo(float).max) - 1.0      # log of the largest sum, with slack
+    low = 1.0 - top / math.log(ranks) if ranks > 1 else -math.inf
+    check_real("zipf_exponent", exponent, low)
 
 
 @dataclass(frozen=True)
@@ -55,13 +59,13 @@ class ReplacementParams:
         check_count("N", self.N, 1)
         check_count("T", self.T, 1)
         check_count("U", self.U, 0, 2**53)        # request totals exact in float64
-        _real(self, "zipf_exponent", 0)
+        check_count("num_ranks", self.resolved_ranks(), 1, self.N)
+        _check_zipf(self.zipf_exponent, self.resolved_ranks())
         if not (isinstance(self.rank_lifetime_mean, float)       # inf: never replaced
                 and self.rank_lifetime_mean == math.inf):
-            _real(self, "rank_lifetime_mean", 0, open_low=True)
-        check_count("num_ranks", self.resolved_ranks(), 1, self.N)
+            check_real("rank_lifetime_mean", self.rank_lifetime_mean, 0, open_low=True)
         if self.thinning is not None:
-            _real(self, "thinning", 0, 1)
+            check_real("thinning", self.thinning, 0, 1)
 
     def resolved_ranks(self) -> int:
         if self.num_ranks is not None:
@@ -115,8 +119,8 @@ class PoissonParams:
         for i, (lifetime, rate) in enumerate(self.groups):
             check_real(f"groups[{i}] lifetime", lifetime, 0, open_low=True)
             check_real(f"groups[{i}] rate", rate, 0)
-        _real(self, "per_service_volume", 0)
-        _real(self, "popularity_shape", 0, open_low=True)
+        check_real("per_service_volume", self.per_service_volume, 0)
+        check_real("popularity_shape", self.popularity_shape, 0, open_low=True)
 
 
 def gen_poisson(params: PoissonParams, seed: int) -> ArrivalTrace:
@@ -174,12 +178,16 @@ class SqrtChurnParams:
         check_count("M", self.M, 1, self.N - 1)     # M + 1 rankable services
         check_count("T", self.T, 1)
         check_count("U", self.U, 0, 2**53)
-        _real(self, "zipf_exponent", 0)
-        _real(self, "blips_per_sqrt", 0, math.sqrt(self.T))   # at most one blip a slot
+        _check_zipf(self.zipf_exponent, self.ranks())
+        check_real("blips_per_sqrt", self.blips_per_sqrt, 0)
+
+    def ranks(self) -> int:
+        """Services on the ladder: the top M and at least two below them."""
+        return min(self.N, max(2 * self.M, self.M + 2))
 
 
 def gen_sqrt_churn(params: SqrtChurnParams, seed: int) -> ArrivalTrace:
-    R = min(params.N, max(2 * params.M, params.M + 2))
+    R = params.ranks()
     rng = rng_stream(seed, "workload:sqrt_churn")
     shares = np.arange(1, R + 1, dtype=float) ** (-params.zipf_exponent)
     base = _largest_remainder(params.U, shares)
@@ -187,7 +195,9 @@ def gen_sqrt_churn(params: SqrtChurnParams, seed: int) -> ArrivalTrace:
     rank_requests = (base + np.arange(R, 0, -1)).astype(float)
 
     ladder = rng.permutation(params.N)[:R]
-    n_blips = max(1, int(round(params.blips_per_sqrt * np.sqrt(params.T))))
+    # from 2T blips on every slot is one (gap < 1/2), so more change nothing
+    root = np.sqrt(params.T)
+    n_blips = max(1, int(round(min(params.blips_per_sqrt, 2 * root) * root)))
     gap = params.T / (n_blips + 1)
     blip_slots = {int(round(gap * (i + 1))) for i in range(n_blips)}
 

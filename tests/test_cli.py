@@ -497,8 +497,9 @@ def test_validate_zero_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["validate", *argv])
     assert exc.value.code == 2
-    # the message names the flag, not the library's keyword
-    assert f"{argv[2]} must be at least 1" in capsys.readouterr().err
+    # the message names the count by its keyword in validate.run_checks
+    keyword = {"--runs": "seeds"}.get(argv[2], argv[2].lstrip("-"))
+    assert f"{keyword} must be an integer in [1, " in capsys.readouterr().err
 
 
 def test_validate_unknown_check_is_usage_error():
@@ -527,9 +528,9 @@ def test_bound_rejects_w0():
 
 
 @pytest.mark.parametrize("flag, value, name", [
-    ("--K", "0", "K must be an integer in [1, 2**63 - 1], got 0"),
-    ("--K", "-5", "K must be an integer in [1, 2**63 - 1], got -5"),
-    ("--T", "0", "T must be an integer in [1, 2**63 - 1], got 0"),
+    ("--K", "0", "K must be an integer in [1, 9223372036854775807], got 0"),
+    ("--K", "-5", "K must be an integer in [1, 9223372036854775807], got -5"),
+    ("--T", "0", "T must be an integer in [1, 9223372036854775807], got 0"),
     ("--U", "nan", "U must be a finite real in [0, inf), got nan"),
     ("--U", "-1", "U must be a finite real in [0, inf), got -1.0"),
     ("--HT", "-1", "H_T must be a finite real in [0, inf), got -1.0"),

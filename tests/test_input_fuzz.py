@@ -13,6 +13,7 @@ derandomized, so every run makes the same ones.
 import contextlib
 import io
 import math
+import numbers
 import re
 import warnings
 from fractions import Fraction
@@ -85,7 +86,9 @@ def _outcome(call, name):
 
 
 def _is_real(value, low=-math.inf):
-    return type(value) is float and math.isfinite(value) and low <= value
+    """A finite real scalar of at least ``low``, kept as it was given."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and low <= value)
 
 
 def _is_count(value, low=-math.inf):
@@ -153,7 +156,7 @@ def check_oracle(field, value):
     kwargs = {"R": 0.1, "seed": 0, field: value}
     oracle = _outcome(lambda: PredictionOracle(TRACE, **kwargs), field)
     if oracle is not None:
-        assert _is_real(oracle.R, 0) and type(oracle.seed) is int
+        assert type(oracle.R) is float and oracle.R >= 0 and type(oracle.seed) is int
 
 
 def check_rosc_config(field, value):
@@ -220,8 +223,8 @@ def _check_params(cls):
         if params is not None:
             assert all(_is_count(getattr(params, name)) for name in counts
                        if getattr(params, name) is not None)
-            assert all(isinstance(getattr(params, name), float) for name in reals
-                       if getattr(params, name) is not None)
+            assert all(_is_real(getattr(params, name)) or getattr(params, name) == math.inf
+                       for name in reals if getattr(params, name) is not None)
     return check, counts + reals
 
 

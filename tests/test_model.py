@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgecache.baselines import pseudo_opt
 from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
                              load_trace, path_length, per_slot_costs,
                              running_total, save_trace, slot_cost,
@@ -252,11 +253,20 @@ def test_model_knobs_are_refused_by_name(make, name):
         make()
 
 
-def test_model_knobs_are_kept_as_floats():
-    cost = CostModel(alpha=Fraction(1, 20), beta=[10, 20], M=1, gamma=np.float32(0.5))
-    assert type(cost.alpha) is float and type(cost.gamma) is float
+def test_model_knobs_are_kept_as_given(tmp_path):
+    """The boundary checks scalar knobs without rewriting them, so an int U
+    is saved as it was given; the arrays become float64, and so does a
+    Fraction, on which numpy would compute as on an object."""
+    cost = CostModel(alpha=1, beta=[10, 20], M=1, gamma=Fraction(1, 2))
+    assert (type(cost.alpha), cost.gamma, type(cost.gamma)) == (int, 0.5, float)
     assert cost.beta.dtype == np.float64
-    assert ArrivalTrace(lam=[[1, 2]], U=np.int64(5)).U == 5.0
+    lam = np.array([[3.0, 1.0], [0.0, 2.0]])
+    fraction = CostModel(alpha=Fraction(1, 20), beta=[10, 20], M=1)
+    assert (pseudo_opt(ArrivalTrace(lam=lam), fraction, 5).total_cost
+            == pseudo_opt(ArrivalTrace(lam=lam), CostModel(0.05, [10, 20], 1), 5).total_cost)
+    trace = ArrivalTrace(lam=[[1, 2]], U=200)
+    assert type(trace.U) is int
+    assert '"U": 200,' in save_trace(trace, tmp_path / "t.csv").read_text()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -390,27 +390,43 @@ def test_prediction_error_std_matches_random_walk():
 @pytest.mark.parametrize("make, name", [
     (lambda: SqrtChurnParams(N=10, T=20, M=0), "M"),
     (lambda: SqrtChurnParams(N=3, T=20, M=3), "M"),
-    (lambda: SqrtChurnParams(N=10, T=16, M=2, blips_per_sqrt=4.5), "blips_per_sqrt"),
+    (lambda: SqrtChurnParams(N=10, T=16, M=2, blips_per_sqrt=-1.0), "blips_per_sqrt"),
+    (lambda: SqrtChurnParams(N=10, T=16, M=2, zipf_exponent=-1000.0), "zipf_exponent"),
+    (lambda: ReplacementParams(N=10, T=20, zipf_exponent=-1000.0), "zipf_exponent"),
     (lambda: ReplacementParams(N=10, T=20, rank_lifetime_mean=0), "rank_lifetime_mean"),
     (lambda: ReplacementParams(N=10, T=20, thinning=1.5), "thinning"),
     (lambda: ReplacementParams(N=10, T=20, U=2**53 + 1), "U"),
     (lambda: PoissonParams(N=10, T=20, groups=((10, -0.1),)), "groups[0] rate"),
     (lambda: PoissonParams(N=10, T=20, groups=5), "groups"),
     (lambda: PoissonParams(N=10, T=20, popularity_shape=0.0), "popularity_shape"),
-], ids=["churn-M-0", "churn-M-at-N", "churn-blips-past-one-a-slot", "lifetime-0",
+], ids=["churn-M-0", "churn-M-at-N", "churn-blips-negative", "churn-zipf-overflow",
+        "replacement-zipf-overflow", "lifetime-0",
         "thinning-above-1", "U-past-2**53", "negative-rate", "groups-not-pairs",
         "pareto-shape-0"])
 def test_generator_params_refuse_bad_values_by_name(make, name):
     """M = 0 made the sqrt-churn blips swap rank 1 with the last rank, and a
-    zero lifetime divided by zero: each is refused when the params are built."""
+    zero lifetime divided by zero, and a Zipf exponent whose shares overflow
+    float64 failed inside numpy: each is refused when the params are built."""
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
         make()
 
 
-def test_generator_params_keep_real_fields_as_floats():
-    params = ReplacementParams(N=10, T=20, zipf_exponent=Fraction(4, 5),
-                               rank_lifetime_mean=np.int64(50))
-    assert (params.zipf_exponent, params.rank_lifetime_mean) == (0.8, 50.0)
-    assert type(params.zipf_exponent) is float
+def test_generator_params_keep_fields_as_given():
+    """Fields are checked, not rewritten: an int exponent reaches the
+    sidecar's params as an int.  A negative exponent (a rising ladder) and an
+    infinite lifetime ("never replaced") stay valid."""
+    trace = gen_replacement(ReplacementParams(N=10, T=20, zipf_exponent=1), seed=0)
+    assert type(trace.meta["params"]["zipf_exponent"]) is int
+    rising = gen_sqrt_churn(SqrtChurnParams(N=10, T=20, M=2, zipf_exponent=-1), seed=0)
+    assert rising.lam.sum() > 0
     forever = ReplacementParams(N=10, T=20, rank_lifetime_mean=np.inf)
     assert forever.rank_lifetime_mean == np.inf
+
+
+def test_sqrt_churn_blips_saturate_at_every_slot():
+    """From 2T blips on every slot is a blip, so a huge blips_per_sqrt gives
+    that same trace at once instead of looping over its blip count."""
+    every = gen_sqrt_churn(SqrtChurnParams(N=10, T=16, M=2, blips_per_sqrt=8.0), seed=3)
+    huge = gen_sqrt_churn(SqrtChurnParams(N=10, T=16, M=2, blips_per_sqrt=1e300), seed=3)
+    np.testing.assert_array_equal(every.lam, huge.lam)
+    assert len({tuple(row) for row in every.lam}) == 1     # each slot the swapped ladder
