@@ -9,13 +9,15 @@ the lower index): a heuristic relaxation of the joint integer program, whose
 gap on tiny windows the test suite measures.  Forwarding costs are never
 negative, so the DP has a closed form.  It runs over blocks of about 8192
 window-services, one window per slot and zero forwarding rows past the horizon,
-once uncached and once cached: a window's start is only its cost of being
-cached in its first slot.  A block's windows come from one ``predict_window``
-call over the block's starts, on an exact oracle when none is given.  The
-uncached plan is a subset of the cached one, so the block commits every
-window at once, as a doubling scan of the carried cache; the first window over
-capacity is repaired alone and the scan restarts after it.  ``rhc`` keeps the
-first rows, ``chc`` adds each window's plan for its start into a vote sum.
+once per block, from an uncached start: a window's start is only its cost of
+being cached in its first slot, and a cached start, which costs nothing, caches
+every slot up to the last one that forwards.  A block's windows come from one
+``predict_window`` call over the block's starts, on an exact oracle when none
+is given.  The uncached plan is a subset of the cached one, so the block
+commits every window at once, as a doubling scan of the carried cache; the
+first window over capacity is repaired alone and the scan restarts after it.
+``rhc`` keeps the first rows, ``chc`` adds each window's plan for its start
+into a vote sum.
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ def solve_rhc_window(fwd: np.ndarray, g1) -> tuple:
     for i in range(len(fwd)):       # by rows: a fresh (W, B, n) g0 costs page faults
         g0 = fwd[i] + np.minimum(g0, g1)
         np.less(g1, g0, out=plan[i])
+    return _suffix_or(plan), g0
+
+
+def _suffix_or(plan: np.ndarray) -> np.ndarray:
+    """OR each row of a bool ``plan`` with every row after it, in place."""
     for i in range(len(plan) - 2, -1, -1):      # a row loop: accumulate is ~25x slower
         plan[i] |= plan[i + 1]
-    return plan, g0
+    return plan
 
 
 def _saving(total, g0, g1):
@@ -121,7 +128,8 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
         fwd *= cost.alpha
         plan0, g0 = solve_rhc_window(fwd, cost.beta)          # uncached start
-        plan1, _ = solve_rhc_window(fwd, 0.0)                 # cached start
+        # cached start: g1 = 0 <= g0 = fwd[i], so it caches slot i if a slot >= i forwards
+        plan1 = _suffix_or(fwd > 0)
         total = None                    # summed on the block's first repair
         # fwd >= 0 makes plan0 a subset of plan1 row by row, so a window that
         # starts from cache x plans p0 | (x & p1), and window b commits its

@@ -189,14 +189,17 @@ def slot_cost(lambda_row, x_prev, x_cur, cost: CostModel) -> tuple[float, float]
 def per_slot_costs(trace: ArrivalTrace, decisions, cost: CostModel):
     """Per-slot (forwarding, switching) arrays for a decision sequence:
     ``slot_cost`` of every slot at once, from an empty slot-0 cache."""
-    dec = np.asarray(decisions, dtype=float)
+    dec = np.asarray(decisions)
+    if dec.dtype.kind not in "biuf":    # objects, strings: no float loop reads them
+        dec = dec.astype(float)
     if dec.shape != (trace.T, trace.N):
         raise DimensionError(f"decisions shape {dec.shape} != {(trace.T, trace.N)}")
-    # one buffer, laid out like dec: first 1 - x, then the raises x_t - x_{t-1}
-    buf = np.subtract(1.0, dec)
+    # one float buffer, laid out like dec: first 1 - x, then the raises
+    # x_t - x_{t-1}; the float loops cast 0/1 decisions as they read them
+    buf = np.subtract(1.0, dec, dtype=float)
     fwd = cost.alpha * np.einsum("tn,tn->t", trace.lam, buf)
     buf[0] = dec[0]
-    np.subtract(dec[1:], dec[:-1], out=buf[1:])
+    np.subtract(dec[1:], dec[:-1], out=buf[1:], dtype=float)
     np.maximum(buf, 0.0, out=buf)
     return fwd, buf @ cost.beta
 
@@ -252,15 +255,18 @@ def _fmt(v: float) -> str:
     return str(int(f)) if f == int(f) and abs(f) < 1e15 else repr(f)
 
 
+def _json_number(value):
+    """A knob kept as given (a numpy scalar, a Fraction) as a JSON number."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_trace(trace: ArrivalTrace, csv_path) -> Path:
     """Write the trace CSV and its JSON sidecar; returns the sidecar path."""
     csv_path = Path(csv_path)
-    cols = [f"s{i + 1}" for i in range(trace.N)]
-    with open(csv_path, "w") as fh:
-        fh.write("t," + ",".join(cols) + "\n")
-        for t in range(trace.T):
-            fh.write(str(t + 1) + "," + ",".join(_fmt(v) for v in trace.lam[t]) + "\n")
-    sidecar = csv_path.with_suffix(".json")
     meta = dict(trace.meta)
     doc = {
         "T": trace.T,
@@ -270,9 +276,14 @@ def save_trace(trace: ArrivalTrace, csv_path) -> Path:
         "generator": meta.pop("generator", None),
         "params": meta.pop("params", meta or None),
     }
-    with open(sidecar, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_number)   # before any write
+    cols = [f"s{i + 1}" for i in range(trace.N)]
+    with open(csv_path, "w") as fh:
+        fh.write("t," + ",".join(cols) + "\n")
+        for t in range(trace.T):
+            fh.write(str(t + 1) + "," + ",".join(_fmt(v) for v in trace.lam[t]) + "\n")
+    sidecar = csv_path.with_suffix(".json")
+    sidecar.write_text(text + "\n")
     return sidecar
 
 

@@ -101,6 +101,10 @@ def gen_replacement(params: ReplacementParams, seed: int) -> ArrivalTrace:
         meta={"generator": "replacement", "seed": seed, "params": asdict(params)})
 
 
+# numpy's largest Poisson mean: rng.poisson refuses more, naming no parameter
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 @dataclass(frozen=True)
 class PoissonParams:
     N: int
@@ -118,7 +122,7 @@ class PoissonParams:
             raise ValueError(f"groups must be (lifetime, rate) pairs, got {self.groups!r}")
         for i, (lifetime, rate) in enumerate(self.groups):
             check_real(f"groups[{i}] lifetime", lifetime, 0, open_low=True)
-            check_real(f"groups[{i}] rate", rate, 0)
+            check_real(f"groups[{i}] rate", rate, 0, POISSON_LAM_MAX)
         check_real("per_service_volume", self.per_service_volume, 0)
         check_real("popularity_shape", self.popularity_shape, 0, open_low=True)
 
@@ -147,6 +151,12 @@ def gen_poisson(params: PoissonParams, seed: int) -> ArrivalTrace:
         if active:
             ids = np.fromiter(active.keys(), dtype=np.int64)
             factors = np.array([active[s][1] for s in ids])
+            # in Python floats, where 0 * an inf factor is NaN without a warning
+            if not float(params.per_service_volume) * float(factors.max()) <= POISSON_LAM_MAX:
+                raise ValueError(
+                    f"popularity_shape={params.popularity_shape!r} and per_service_volume="
+                    f"{params.per_service_volume!r} give slot {t + 1} a Poisson mean past "
+                    f"numpy's limit {POISSON_LAM_MAX:.4g}")
             lam[t, ids] = rng.poisson(params.per_service_volume * factors)
     U = float(lam.sum(axis=1).max())
     return ArrivalTrace(

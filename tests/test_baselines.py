@@ -323,6 +323,7 @@ def test_uncached_plan_is_a_subset_of_the_cached_plan():
         assert np.all(plan0 <= plan1)
         forwards_later = np.flip(np.logical_or.accumulate(np.flip(fwd > 0, 0), 0), 0)
         assert plan1.tobytes() == forwards_later.view(np.int8).tobytes()
+        assert baselines._suffix_or(fwd > 0).tobytes() == plan1.tobytes()
         total = fwd.sum(axis=0)
         assert baselines._saving(total, g0, 0.0).tobytes() == total.tobytes()
 

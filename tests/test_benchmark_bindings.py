@@ -17,7 +17,7 @@ from edgecache import (CostModel, PredictionOracle, RoscConfig,
 
 ROOT = Path(__file__).resolve().parents[1]
 T, N, M, W, K, SWEEPS = 24, 12, 3, 4, 10, 7
-BLOCKS = 1      # horizon-control blocks of 8192 // N windows: one forecast call each
+BLOCKS = 1      # horizon-control blocks of 8192 // N windows: one forecast call and one DP each
 
 
 def _load_tracing():
@@ -64,12 +64,12 @@ def test_every_binding_is_present(traced):
 @pytest.mark.parametrize("root, expected", [
     ("rosc", {"model.seed": 1, "gradient_pgd.window": W, "projection": W,
               "sampler.quantize": 1, "sampler.update": T, "model.costing": T}),
-    ("rhc", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
-    ("chc", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
+    ("rhc", {"workloads.forecast": BLOCKS, "baselines.solve": BLOCKS, "model.costing": 1}),
+    ("chc", {"workloads.forecast": BLOCKS, "baselines.solve": BLOCKS, "model.costing": 1}),
     ("pseudo_opt", {"gradient_pgd.offline": 1, "projection": SWEEPS,
                     "model.costing": 1}),
     # exact forecasts take the same path: one exact-oracle call per block
-    ("rhc-exact", {"workloads.forecast": BLOCKS, "baselines.solve": 2, "model.costing": 1}),
+    ("rhc-exact", {"workloads.forecast": BLOCKS, "baselines.solve": BLOCKS, "model.costing": 1}),
 ])
 def test_each_layer_is_entered_per_policy(traced, root, expected):
     _, layers, _ = traced

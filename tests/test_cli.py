@@ -1,8 +1,11 @@
+import functools
 import json
 
 import pytest
 
+from edgecache import bench
 from edgecache.cli import main
+from edgecache.workloads import PoissonParams
 
 
 @pytest.mark.parametrize("model", ["replacement", "poisson", "sqrt-churn"])
@@ -55,6 +58,19 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
         main(["generate", *argv, "--T", "5", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("knob", [{"popularity_shape": 0.05}, {"per_service_volume": 1e300}])
+def test_generate_refuses_poisson_means_past_numpys_limit(tmp_path, capsys, monkeypatch,
+                                                           knob):
+    """No flag sets these two fields, so the generator's params carry them."""
+    monkeypatch.setattr(bench, "PoissonParams", functools.partial(PoissonParams, **knob))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--model", "poisson", "--N", "50", "--T", "200", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{next(iter(knob))}=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

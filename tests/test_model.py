@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from edgecache.model import (ArrivalTrace, CostModel, DimensionError,
                              load_trace, path_length, per_slot_costs,
                              running_total, save_trace, slot_cost,
                              top_m_indicator)
+from edgecache.workloads import ReplacementParams, gen_replacement
 
 
 def _slot(lam, prev, cur, alpha=0.05, beta=(10.0, 10.0)):
@@ -124,6 +126,16 @@ def test_per_slot_costs_equal_fresh_array_costing_byte_for_byte():
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
     assert np.isnan(per_slot_costs(trace, nan_row, cost)[1][[7, 8]]).all()
+    # 0/1 decisions of every dtype, and Fractions, cost the bytes of their floats
+    int8 = binary.astype(np.int8)
+    for decisions in (int8, binary, binary.astype(np.uint8), binary.astype(np.int64),
+                      binary.astype(np.float64), binary.astype(object),
+                      np.asfortranarray(int8), int8[::-1],
+                      np.array([[Fraction(v) for v in row] for row in frac], dtype=object)):
+        got = per_slot_costs(trace, decisions, cost)
+        want = per_slot_costs(trace, np.asarray(decisions, dtype=float), cost)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
     for bad in (frac[1:], frac[:, 1:], frac.T, frac[0], frac.tolist()[1:]):
         with pytest.raises(DimensionError):
             per_slot_costs(trace, bad, cost)
@@ -289,6 +301,29 @@ def test_trace_roundtrip(tmp_path):
     assert back.U == 12.0
     assert back.meta["generator"] == "unit"
     assert sidecar.exists()
+
+
+@pytest.mark.parametrize("U, saved", [(np.int64(2), 2), (np.float32(2), 2.0),
+                                      (Fraction(3, 2), 1.5)])
+def test_knobs_kept_as_given_save_and_load_back(tmp_path, U, saved):
+    """numpy scalars and Fractions pass the boundary as given; the sidecar
+    writes them as JSON numbers, where json.dump raised TypeError after the
+    CSV was written."""
+    lam = np.array([[1.0, 0.5], [0.0, 1.0]])
+    path = tmp_path / "u.csv"
+    sidecar = save_trace(ArrivalTrace(lam=lam, U=U), path)
+    assert json.loads(sidecar.read_text())["U"] == saved
+    back = load_trace(path)
+    assert (back.U, type(back.U), back.lam.tobytes()) == (saved, type(saved), lam.tobytes())
+    thinned = gen_replacement(ReplacementParams(N=6, T=5, U=10, thinning=np.float32(0.5)), 1)
+    save_trace(thinned, path)
+    back = load_trace(path)
+    assert back.meta["params"]["thinning"] == 0.5
+    assert back.lam.tobytes() == thinned.lam.tobytes()
+    path.unlink()
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        save_trace(ArrivalTrace(lam=lam, meta={"params": {"x": object()}}), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("body, where", [

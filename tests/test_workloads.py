@@ -83,6 +83,21 @@ def test_poisson_determinism_and_activity():
     assert a.U == a.lam.sum(axis=1).max()
 
 
+@pytest.mark.parametrize("knob", [{"popularity_shape": 0.05},
+                                  {"per_service_volume": 1e300},
+                                  {"per_service_volume": 0.0, "popularity_shape": 0.001}],
+                         ids=["pareto-factor-past-limit", "volume-past-limit", "zero-times-inf"])
+def test_poisson_refuses_means_past_numpys_limit_by_name(knob):
+    """A heavy Pareto tail or a huge volume made numpy's rng.poisson raise
+    "lam value too large" (and 0 * an inf factor "lam is NaN"), naming no
+    parameter; both are refused by name before the draw, as is a birth rate
+    past that limit when the params are built."""
+    with pytest.raises(ValueError, match=f"{next(iter(knob))}=.* past numpy's limit"):
+        gen_poisson(PoissonParams(N=50, T=200, **knob), seed=1)
+    with pytest.raises(ValueError, match=r"^groups\[0\] rate must be"):
+        PoissonParams(N=5, T=5, groups=((10, 1e300),))
+
+
 def test_poisson_unit_lifetime_churns_the_whole_top_m():
     # fresh active set every slot: indicator churn approaches 2M per slot
     p = PoissonParams(N=400, T=120, groups=((1, 12.0),),
