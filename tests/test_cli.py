@@ -63,7 +63,7 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
 @pytest.mark.parametrize("knob", [{"popularity_shape": 0.05}, {"per_service_volume": 1e300}])
 def test_generate_refuses_poisson_means_past_numpys_limit(tmp_path, capsys, monkeypatch,
                                                            knob):
-    """No flag sets these two fields, so the generator's params carry them."""
+    """No flag sets these two fields, so the test sets them through the params."""
     monkeypatch.setattr(bench, "PoissonParams", functools.partial(PoissonParams, **knob))
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
