@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .model import ArrivalTrace, CostModel, RunRecord, check_count, check_real
+from .model import (ArrivalTrace, CostModel, RunRecord, _json_number, check_count,
+                    check_real)
 from .rosc import RoscConfig, run_rosc
 from .workloads import (PoissonParams, PredictionOracle, ReplacementParams,
                         SqrtChurnParams, gen_poisson, gen_replacement,
@@ -82,9 +82,10 @@ SWEEP_AXES = ("ratio", "M", "W", "R")
 
 @dataclass
 class ExperimentSpec:
-    """One sweep: a workload, seeds, policies, and a single varied axis."""
+    """One sweep: a workload, seeds, policies, and a single varied axis.  Its
+    seeds, workload parameters and each value's cost settings are checked here."""
 
-    workload: str                       # replacement | poisson | sqrt_churn
+    workload: str                       # a key of WORKLOADS
     workload_params: dict
     seeds: list
     policies: list                      # subset of {rosc, rhc, chc, sopt, pseudo-opt, opt-dp}
@@ -92,11 +93,12 @@ class ExperimentSpec:
     values: list = field(default_factory=lambda: [10])
     base: dict = field(default_factory=lambda: dict(PAPER_DEFAULTS))
     measure_runtime: bool = False       # discard one warm run before timing
-    jobs: int = 1
+    jobs: int = 1                       # worker processes, one seed each
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        self.seeds = [check_count("seed", seed, high=math.inf) for seed in self.seeds]
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}")
         if not self.values:
@@ -105,22 +107,38 @@ class ExperimentSpec:
             if not all(check_real(self.axis, v).is_integer() for v in self.values):
                 raise ValueError(f"{self.axis} values must be whole numbers")
             self.values = [int(v) for v in self.values]
-        for R in self.values if self.axis == "R" else [self.base.get("R", 0.0)]:
-            check_real("noise weight R", R, 0)
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}; available: {sorted(POLICIES)}")
         check_count("jobs", self.jobs, 1)
+        self._params = make_params(self.workload, self.workload_params)
+        for value in self.values:
+            settings = dict(self.base, **{self.axis: value})
+            cost_model(settings, self._params.N)
+            check_real("noise weight R", settings.get("R", 0.0), 0)
+
+
+# workload name -> (its parameter class, its generator)
+WORKLOADS = {
+    "replacement": (ReplacementParams, gen_replacement),
+    "poisson": (PoissonParams, gen_poisson),
+    "sqrt_churn": (SqrtChurnParams, gen_sqrt_churn),
+}
+
+
+def make_params(workload: str, params: dict):
+    """``params`` as ``workload``'s parameter object; an unknown workload, or
+    a field its class does not take or refuses, raises ValueError naming it."""
+    if workload not in WORKLOADS:
+        raise ValueError(f"unknown workload '{workload}'; available: {sorted(WORKLOADS)}")
+    try:
+        return WORKLOADS[workload][0](**params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"workload {workload}: {exc}") from None
 
 
 def make_trace(workload: str, params: dict, seed: int) -> ArrivalTrace:
-    if workload == "replacement":
-        return gen_replacement(ReplacementParams(**params), seed)
-    if workload == "poisson":
-        return gen_poisson(PoissonParams(**params), seed)
-    if workload == "sqrt_churn":
-        return gen_sqrt_churn(SqrtChurnParams(**params), seed)
-    raise ValueError(f"unknown workload '{workload}'")
+    return WORKLOADS[workload][1](make_params(workload, params), seed)
 
 
 # name -> call; each takes the keyword arguments ``run_policy`` passes and
@@ -139,6 +157,15 @@ POLICIES = {
 }
 
 
+def cost_model(settings: dict, N: int) -> CostModel:
+    """The uniform cost model of ``settings`` for N services: ``alpha``,
+    ``M``, ``gamma`` and beta* = ``beta_star`` (default ``ratio * alpha``)."""
+    alpha = settings["alpha"]
+    check_real("alpha", alpha, 0, open_low=True)    # by name, before the beta* it prices
+    beta_star = settings.get("beta_star", settings["ratio"] * alpha)
+    return CostModel.uniform(alpha, beta_star, N, settings["M"], gamma=settings["gamma"])
+
+
 def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> RunRecord:
     """Run the named policy under ``settings``: ``alpha``, ``ratio``, ``M``,
     ``W``, ``K``, ``gamma`` and ``R`` (0 when absent), plus ``beta_star``
@@ -149,10 +176,7 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> Run
     an integer, raises ``ValueError``."""
     if name not in POLICIES:
         raise ValueError(f"unknown policy '{name}'")
-    alpha = settings["alpha"]
-    beta_star = settings.get("beta_star", settings["ratio"] * alpha)
-    cost = CostModel.uniform(alpha, beta_star, trace.N, settings["M"],
-                             gamma=settings["gamma"])
+    cost = cost_model(settings, trace.N)
     R = settings.get("R", 0.0)
     oracle = PredictionOracle(trace, R=R, seed=seed) if R != 0 else None
     return POLICIES[name](trace=trace, cost=cost, W=settings["W"],
@@ -160,75 +184,63 @@ def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> Run
                           W_big=settings.get("W_big", 300))
 
 
-def _run_point(spec: ExperimentSpec, value, seed: int, policy: str) -> dict:
-    """Worker body: one (axis value, seed, policy) cell; returns plain data."""
-    trace = make_trace(spec.workload, spec.workload_params, seed)
-    settings = dict(spec.base, **{spec.axis: value})
-    t_start = time.perf_counter()
-    if spec.measure_runtime:
-        run_policy(policy, trace, settings, seed)  # warm run, discarded
-    rec = run_policy(policy, trace, settings, seed)
-    return {
-        "axis_value": value,
-        "seed": seed,
-        "policy": policy,
-        "total_cost": rec.total_cost,
-        "cost_per_slot": rec.total_cost / trace.T,
-        "runtime_ms": rec.runtime_ms,
-        "runtime_ms_per_slot": rec.runtime_ms / trace.T,
-        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-    }
-
-
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
-    """Execute the sweep, write the report files, return the report dict."""
+    """Execute the sweep, one task per seed; write the report files, return the report."""
     from concurrent.futures import ProcessPoolExecutor  # only sweeps with jobs > 1 need it
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(spec, value, seed, policy) for value in spec.values
-             for seed in spec.seeds for policy in spec.policies]
-    cells, failures = [], []
-    with ProcessPoolExecutor(spec.jobs) if spec.jobs > 1 else nullcontext() as pool:
-        for outcome in (pool.map if pool else map)(_run_point_safe, tasks):
-            (cells if "error" not in outcome else failures).append(outcome)
-
-    report = _aggregate(spec, cells, failures)
+    workers = min(spec.jobs, len(spec.seeds))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        runs = list((pool.map if pool else map)(_run_seed, [spec] * len(spec.seeds),
+                                                spec.seeds))
+    report = _aggregate(spec, runs)
     _write_report(spec, report, out)
     return report
 
 
-def _run_point_safe(task: tuple) -> dict:
+def _run_seed(spec: ExperimentSpec, seed: int) -> list:
+    """Worker body: the seed's trace, built once, and per axis value one cell
+    per policy run on it, as plain data; a cell that raises holds its
+    ``error``, and a trace that cannot be built fails every cell."""
     try:
-        return _run_point(*task)
-    except Exception as exc:  # noqa: BLE001 - sweep points fail independently
-        _, value, seed, policy = task
-        return {"axis_value": value, "seed": seed, "policy": policy,
-                "error": f"{type(exc).__name__}: {exc}"}
+        trace = WORKLOADS[spec.workload][1](spec._params, seed)
+    except Exception as exc:  # noqa: BLE001 - reported by each of the seed's cells
+        trace = exc
+    return [[_run_cell(spec, trace, value, seed, policy) for policy in spec.policies]
+            for value in spec.values]
 
 
-def _aggregate(spec: ExperimentSpec, cells: list, failures: list) -> dict:
-    table: dict = {}
-    for c in cells:
-        table.setdefault((c["axis_value"], c["policy"]), []).append(c)
-    points = []
-    for value in spec.values:
-        row = {"axis_value": value, "policies": {}}
-        for policy in spec.policies:
-            got = table.get((value, policy), [])
-            if not got:
-                continue
-            costs = np.array([g["cost_per_slot"] for g in got])
-            runtimes = np.array([g["runtime_ms"] for g in got])
-            row["policies"][policy] = {
-                "seeds": len(got),
-                "cost_per_slot_mean": float(costs.mean()),
-                "cost_per_slot_std": float(costs.std(ddof=0)),
-                "total_cost_mean": float(np.mean([g["total_cost"] for g in got])),
-                "runtime_ms_mean": float(runtimes.mean()),
-                "runtime_ms_per_slot_mean": float(np.mean(
-                    [g["runtime_ms_per_slot"] for g in got])),
-            }
-        points.append(row)
+def _run_cell(spec: ExperimentSpec, trace, value, seed: int, policy: str) -> dict:
+    cell = {"axis_value": value, "seed": seed, "policy": policy}
+    try:
+        if isinstance(trace, Exception):
+            raise trace
+        settings = dict(spec.base, **{spec.axis: value})
+        if spec.measure_runtime:
+            run_policy(policy, trace, settings, seed)  # warm run, discarded
+        rec = run_policy(policy, trace, settings, seed)
+    except Exception as exc:  # noqa: BLE001 - sweep cells fail independently
+        return dict(cell, error=f"{type(exc).__name__}: {exc}")
+    return dict(cell, total_cost=rec.total_cost, cost_per_slot=rec.total_cost / trace.T,
+                runtime_ms=rec.runtime_ms, runtime_ms_per_slot=rec.runtime_ms / trace.T)
+
+
+def _aggregate(spec: ExperimentSpec, runs: list) -> dict:
+    """The report of ``runs[s][v][p]``, the cell of seed s, axis value v and
+    policy p; failures are listed by axis value, then seed, then policy."""
+    points, failures = [], []
+    for value, rows in zip(spec.values, zip(*runs)):     # rows[s][p]
+        failures += [cell for row in rows for cell in row if "error" in cell]
+        stats = {}
+        for policy, cells in zip(spec.policies, zip(*rows)):
+            got = [cell for cell in cells if "error" not in cell]
+            if got:
+                stats[policy] = {f"{key}_mean": float(np.mean([g[key] for g in got]))
+                                 for key in ("cost_per_slot", "total_cost", "runtime_ms",
+                                             "runtime_ms_per_slot")}
+                stats[policy].update(seeds=len(got), cost_per_slot_std=float(
+                    np.std([g["cost_per_slot"] for g in got])))
+        points.append({"axis_value": value, "policies": stats})
     return {
         "axis": spec.axis,
         "values": list(spec.values),
@@ -241,27 +253,16 @@ def _aggregate(spec: ExperimentSpec, cells: list, failures: list) -> dict:
 
 
 def _write_report(spec: ExperimentSpec, report: dict, out: Path) -> None:
-    with open(out / "summary.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / f"costs_{spec.axis}.csv", "w") as fh:
-        fh.write(spec.axis + ","
-                 + ",".join(f"{p}_mean,{p}_std" for p in spec.policies) + "\n")
-        for point in report["points"]:
-            cols = [str(point["axis_value"])]
-            for p in spec.policies:
-                stats = point["policies"].get(p)
-                if stats is None:
-                    cols += ["", ""]
-                else:
-                    cols += [repr(stats["cost_per_slot_mean"]),
-                             repr(stats["cost_per_slot_std"])]
-            fh.write(",".join(cols) + "\n")
-    with open(out / "runtimes.csv", "w") as fh:
-        fh.write(spec.axis + "," + ",".join(spec.policies) + "\n")
-        for point in report["points"]:
-            cols = [str(point["axis_value"])]
-            for p in spec.policies:
-                stats = point["policies"].get(p)
-                cols.append("" if stats is None else repr(stats["runtime_ms_mean"]))
-            fh.write(",".join(cols) + "\n")
+    (out / "summary.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, default=_json_number) + "\n")
+    # each table: its file, and each policy's column suffixes with the stats they show
+    for name, columns in ((f"costs_{spec.axis}.csv", {"_mean": "cost_per_slot_mean",
+                                                      "_std": "cost_per_slot_std"}),
+                          ("runtimes.csv", {"": "runtime_ms_mean"})):
+        with open(out / name, "w") as fh:
+            head = [p + suffix for p in spec.policies for suffix in columns]
+            fh.write(",".join([spec.axis] + head) + "\n")
+            for point in report["points"]:
+                stats = [point["policies"].get(p) for p in spec.policies]
+                cols = [repr(s[key]) if s else "" for s in stats for key in columns.values()]
+                fh.write(",".join([str(point["axis_value"])] + cols) + "\n")

@@ -371,5 +371,5 @@ class RunRecord:
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(self.summary(), fh, indent=2, sort_keys=True, default=_json_number)
             fh.write("\n")

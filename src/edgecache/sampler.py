@@ -23,10 +23,11 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Independent, reproducible generator for (seed, label).
 
     Identical arguments yield bit-identical streams regardless of creation
-    order, which keeps whole runs replayable from a single seed.  The uint32
-    entropy is what ``SeedSequence`` makes of ``[seed mod 2^64, *label bytes]``.
+    order, which keeps whole runs replayable from a single seed, any integer
+    that ``check_count`` takes.  The uint32 entropy is what ``SeedSequence``
+    makes of ``[seed mod 2^64, *label bytes]``.
     """
-    seed &= 0xFFFFFFFFFFFFFFFF
+    seed = check_count("seed", seed, high=np.inf) & 0xFFFFFFFFFFFFFFFF
     words = np.array([seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed], dtype=np.uint32)
     entropy = np.concatenate([words, np.frombuffer(label.encode("utf-8"), dtype=np.uint8)])
     return np.random.default_rng(np.random.SeedSequence(entropy))

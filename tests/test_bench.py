@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgecache import bench
 from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret_bound,
                              regret_bound_terms, run_experiment,
                              run_policy, make_trace, theorem_cost)
 from edgecache.model import ArrivalTrace, CostModel
 from edgecache.rosc import RoscConfig, run_rosc
+from edgecache.workloads import ReplacementParams, gen_replacement
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,6 +146,112 @@ def test_run_experiment_records_failures(tmp_path):
     report = run_experiment(spec, tmp_path / "rep2")
     assert not report["ok"]
     assert report["failures"] and "exceeds" in report["failures"][0]["error"]
+
+
+def test_a_failing_cell_leaves_its_seeds_other_cells(tmp_path):
+    """N = 20 is past the exact DP's budget: opt-dp fails on the seed's
+    trace, and sopt still runs on it."""
+    spec = _tiny_spec(tmp_path, policies=["opt-dp", "sopt"],
+                      workload_params={"N": 20, "T": 10, "U": 40})
+    report = run_experiment(spec, tmp_path / "rep")
+    assert [(f["policy"], f["seed"]) for f in report["failures"]] == [("opt-dp", 0)]
+    assert list(report["points"][0]["policies"]) == ["sopt"]
+
+
+def test_a_trace_that_cannot_be_built_fails_each_of_its_cells(tmp_path, monkeypatch):
+    """Its parameters pass, but at this Pareto shape a seed's volumes pass
+    numpy's Poisson limit while the trace is built."""
+    params, generate = bench.WORKLOADS["poisson"]
+    monkeypatch.setitem(bench.WORKLOADS, "poisson", (
+        functools.partial(params, popularity_shape=0.05), generate))
+    spec = _tiny_spec(tmp_path, workload="poisson", workload_params={"N": 50, "T": 200},
+                      policies=["rosc", "sopt"], values=[1, 2])
+    report = run_experiment(spec, tmp_path / "rep")
+    assert [(f["axis_value"], f["policy"]) for f in report["failures"]] == [
+        (1, "rosc"), (1, "sopt"), (2, "rosc"), (2, "sopt")]
+    assert all("popularity_shape=0.05" in f["error"] for f in report["failures"])
+    assert [point["policies"] for point in report["points"]] == [{}, {}]
+
+
+def _counting(monkeypatch, calls):
+    """Make every workload's generator note the seed of each trace it builds."""
+    for name, (params, generate) in list(bench.WORKLOADS.items()):
+        def counted(p, seed, generate=generate):
+            calls.append(seed)
+            return generate(p, seed)
+        monkeypatch.setitem(bench.WORKLOADS, name, (params, counted))
+
+
+def test_a_sweep_builds_each_seeds_trace_once(tmp_path, monkeypatch):
+    calls = []
+    _counting(monkeypatch, calls)
+    spec = _tiny_spec(tmp_path, seeds=[4, 2, 7], policies=["rosc", "rhc", "sopt"],
+                      values=[1, 2, 3], measure_runtime=True)
+    assert run_experiment(spec, tmp_path / "rep")["ok"]
+    assert calls == [4, 2, 7]
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"workload": "magic"}, "unknown workload 'magic'"),
+    ({"workload_params": {"N": 12, "T": 10, "groups": ()}}, "workload replacement: .*groups"),
+    ({"workload": "poisson", "workload_params": {"N": 12, "T": 10, "U": 40}},
+     "workload poisson: .*'U'"),
+    ({"workload_params": {"N": 12, "T": 10, "num_ranks": 20}},
+     r"workload replacement: num_ranks must be an integer in \[1, 12\], got 20"),
+], ids=["unknown-workload", "field-not-taken", "U-on-poisson", "field-refused"])
+def test_spec_refuses_a_workload_without_building_a_trace(monkeypatch, kw, message):
+    calls = []
+    _counting(monkeypatch, calls)
+    with pytest.raises(ValueError, match=message):
+        _tiny_spec(None, **kw)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"base": dict(PAPER_DEFAULTS, alpha=-1.0)}, "alpha must be"),
+    ({"base": dict(PAPER_DEFAULTS, gamma=2.0)}, "gamma must be"),
+    ({"axis": "ratio", "values": [200.0, -1.0]}, "beta_star must be"),
+    ({"axis": "M", "values": [2, 13]}, r"M must be an integer in \[1, 12\], got 13"),
+    ({"seeds": [0, 1.5]}, r"seed must be an integer in \(-inf, inf\), got 1.5"),
+    ({"seeds": [True]}, "seed must be"),
+], ids=["alpha", "gamma", "ratio-value", "M-value", "fractional-seed", "bool-seed"])
+def test_spec_refuses_cost_settings_and_seeds(kw, message):
+    with pytest.raises(ValueError, match=message):
+        _tiny_spec(None, **kw)
+
+
+def test_spec_seeds_are_ints(tmp_path):
+    spec = _tiny_spec(tmp_path, seeds=[np.int64(0), np.uint8(1)])
+    assert [type(seed) for seed in spec.seeds] == [int, int]
+    report = run_experiment(spec, tmp_path / "rep")
+    assert json.loads((tmp_path / "rep" / "summary.json").read_text())["seeds"] == [0, 1]
+    assert report["points"][0]["policies"]["rosc"]["seeds"] == 2
+
+
+def test_summary_takes_numpy_axis_values(tmp_path):
+    """A value kept as given reaches summary.json as a JSON number; json.dump
+    raised TypeError on it after every cell had run, and left the file cut."""
+    spec = _tiny_spec(tmp_path, policies=["rosc", "rhc"], axis="R",
+                      values=[np.float32(0.5), np.float64(0.25)])
+    report = run_experiment(spec, tmp_path / "rep")
+    doc = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert doc["ok"] and doc["values"] == [0.5, 0.25]
+    assert [p["axis_value"] for p in doc["points"]] == [0.5, 0.25]
+    assert report["points"][0]["policies"]["rhc"]["seeds"] == 1
+
+
+def test_run_records_write_numpy_knobs(tmp_path):
+    """CostModel keeps alpha as given and rhc its W; a record's JSON writes
+    them as numbers, where json.dump raised TypeError after the CSV."""
+    trace = gen_replacement(ReplacementParams(N=8, T=12, U=30), 0)
+    rosc = run_rosc(trace, RoscConfig(cost=CostModel.uniform(np.float32(0.05), 10.0, 8, 2),
+                                      W=2, K=5))
+    rhc = bench.baselines.rhc_policy(trace, CostModel.uniform(0.05, 10.0, 8, 2), np.int64(2))
+    for rec in (rosc, rhc):
+        rec.write_json(tmp_path / "rec.json")
+        doc = json.loads((tmp_path / "rec.json").read_text())
+        assert doc["total_cost"] == rec.total_cost and doc["config"]["W"] == 2
+    assert doc["config"]["policy"] == "rhc"
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

@@ -64,7 +64,8 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
 def test_generate_refuses_poisson_means_past_numpys_limit(tmp_path, capsys, monkeypatch,
                                                            knob):
     """No flag sets these two fields, so the test sets them through the params."""
-    monkeypatch.setattr(bench, "PoissonParams", functools.partial(PoissonParams, **knob))
+    monkeypatch.setitem(bench.WORKLOADS, "poisson", (functools.partial(PoissonParams, **knob),
+                                                     bench.WORKLOADS["poisson"][1]))
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--model", "poisson", "--N", "50", "--T", "200", "--out", str(out)])
@@ -458,9 +459,13 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def _no_trace(params, seed):
+    raise AssertionError("a trace was built")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--workload", "poisson", "--U", "5"], "--workload poisson"),
-    (["--workload", "sqrt_churn", "--M", "20"], "--workload sqrt_churn"),
+    (["--workload", "poisson", "--U", "5"], "workload poisson"),
+    (["--workload", "sqrt_churn", "--M", "20"], "workload sqrt_churn"),
     (["--axis", "M", "--values", "2.5"], "whole numbers"),
     (["--axis", "W", "--values", "1,nan"], "W must be a finite real in (-inf, inf)"),
     (["--policies", "rosc,magic"], "'magic'"),
@@ -468,10 +473,18 @@ def test_sweep_empty_seeds_is_usage_error(tmp_path):
     (["--axis", "R", "--values=-1,0"], "noise weight R"),
     (["--R", "-0.5"], "noise weight R"),
     (["--R", "inf"], "noise weight R"),
+    (["--alpha=-1"], "alpha must be a finite real in (0, inf), got -1.0"),
+    (["--gamma", "2"], "gamma must be a finite real in (0, 1), got 2.0"),
+    (["--axis", "ratio", "--values=-1"], "beta_star must be a finite real in (0, inf)"),
+    (["--axis", "M", "--values", "20"], "M must be an integer in [1, 12], got 20"),
 ], ids=["U-on-poisson", "generator-refuses", "fractional-M", "nan-W",
         "unknown-policy", "no-jobs", "negative-R-value", "negative-R-base",
-        "infinite-R-base"])
-def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, argv, message):
+        "infinite-R-base", "negative-alpha", "gamma-past-1", "negative-ratio-value",
+        "M-value-past-N"])
+def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, monkeypatch, argv, message):
+    """Each refusal comes from the spec's checks: no trace is built for it."""
+    for name, (params, _) in list(bench.WORKLOADS.items()):
+        monkeypatch.setitem(bench.WORKLOADS, name, (params, _no_trace))
     out = tmp_path / "x"
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--N", "12", "--T", "12", "--seeds", "1", *argv,
@@ -479,6 +492,15 @@ def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parallel_sweep_writes_the_serial_tables(tmp_path):
+    argv = ["sweep", "--N", "12", "--T", "12", "--values", "1,2", "--seeds", "3",
+            "--policies", "rosc,rhc,sopt", "--M", "2", "--K", "5", "--R", "0.1"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(argv + ["--out", str(serial)]) == 0
+    assert main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert (serial / "costs_W.csv").read_bytes() == (parallel / "costs_W.csv").read_bytes()
 
 
 def test_sqrt_churn_sweep_passes_M_and_U_to_its_generator(tmp_path):

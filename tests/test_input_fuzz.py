@@ -22,12 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgecache.bench import ExperimentSpec, regret_bound_terms, theorem_cost
+from edgecache.bench import PAPER_DEFAULTS, ExperimentSpec, regret_bound_terms, theorem_cost
 from edgecache.cli import main
 from edgecache.model import ArrivalTrace, CostModel, save_trace
 from edgecache.rosc import RoscConfig
+from edgecache.sampler import rng_stream
 from edgecache.workloads import (PoissonParams, PredictionOracle,
-                                 ReplacementParams, SqrtChurnParams)
+                                 ReplacementParams, SqrtChurnParams, gen_poisson,
+                                 gen_replacement, gen_sqrt_churn)
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -188,20 +190,46 @@ def check_theorem_cost(field, value):
 SPEC_FIELDS = {  # fuzzed knob -> the ExperimentSpec arguments that carry it
     "jobs": lambda v: {"jobs": v},
     "R": lambda v: {"axis": "R", "values": [0.0, v]},
-    "base R": lambda v: {"base": {"R": v}},
+    "base R": lambda v: {"base": dict(PAPER_DEFAULTS, R=v)},
+    "seed": lambda v: {"seeds": [0, v]},
     "M": lambda v: {"axis": "M", "values": [v]},
     "W": lambda v: {"axis": "W", "values": [3, v]},
 }
 
 
 def check_spec(field, value):
-    spec = _outcome(lambda: ExperimentSpec(
-        workload="replacement", workload_params={"N": 12, "T": 10}, seeds=[0],
-        policies=["rosc"], **SPEC_FIELDS[field](value)), field.split()[-1])
+    args = dict(workload="replacement", workload_params={"N": 12, "T": 10}, seeds=[0],
+                policies=["rosc"])
+    spec = _outcome(lambda: ExperimentSpec(**{**args, **SPEC_FIELDS[field](value)}),
+                    field.split()[-1])
     if spec is not None:
         assert _is_count(spec.jobs, 1)
+        assert all(type(seed) is int for seed in spec.seeds)
         if spec.axis in ("M", "W"):
             assert all(type(v) is int for v in spec.values)
+
+
+def check_rng_stream(field, value):
+    rng = _outcome(lambda: rng_stream(value, "fuzz"), field)
+    if rng is not None:     # any integer, its stream that of the int it is
+        assert rng.integers(2**62, size=4).tolist() == \
+            rng_stream(int(value), "fuzz").integers(2**62, size=4).tolist()
+
+
+# each generator on parameters it takes, for its seed
+GENERATORS = {
+    "gen_replacement": (gen_replacement, ReplacementParams(N=6, T=4, thinning=0.5)),
+    "gen_poisson": (gen_poisson, PoissonParams(N=6, T=4, groups=((2, 1.0),))),
+    "gen_sqrt_churn": (gen_sqrt_churn, SqrtChurnParams(N=6, T=4, M=2)),
+}
+
+
+def check_generator_seed(name, value):
+    generate, params = GENERATORS[name]
+    trace = _outcome(lambda: generate(params, value), "seed")
+    if trace is not None:
+        _valid_trace(trace)
+        assert trace.lam.tobytes() == generate(params, int(value)).lam.tobytes()
 
 
 # class -> (sizes it is built with, its count fields, its real fields)
@@ -248,6 +276,8 @@ KNOBS = {
     "regret_bound_terms": (check_regret_bound_terms, tuple(BOUND_ARGS)),
     "theorem_cost": (check_theorem_cost, ("H_T", "T")),
     "ExperimentSpec": (check_spec, tuple(SPEC_FIELDS)),
+    "rng_stream": (check_rng_stream, ("seed",)),
+    "generators": (check_generator_seed, tuple(GENERATORS)),
     **{cls.__name__: _check_params(cls) for cls in PARAMS},
     "PoissonParams.groups": (check_groups, tuple(GROUPS)),
 }

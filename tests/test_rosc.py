@@ -195,3 +195,19 @@ def test_split_sweeps_are_byte_identical(monkeypatch, cores):
     digest.update(np.ascontiguousarray(rec.extras["fractional"]).tobytes())
     digest.update(rec.decisions.tobytes())
     assert digest.hexdigest() == SPLIT_SWEEP_DIGEST
+
+
+def test_a_numpy_int_seed_gives_the_int_seeds_record(tmp_path):
+    """A numpy integer seed reaches the streams as its int: it raised an
+    unnamed OverflowError when masked to 64 bits."""
+    trace = gen_replacement(ReplacementParams(N=10, T=30, U=40), 2)
+    cost = _cost(trace.N)
+    written = []
+    for seed in (5, np.int64(5)):
+        rec = run_rosc(trace, RoscConfig(cost=cost, W=3, K=8, seed=seed),
+                       predictions=PredictionOracle(trace, R=0.2, seed=seed))
+        rec.write_csv(tmp_path / "rec.csv")
+        rec.runtime_ms = 0.0
+        rec.write_json(tmp_path / "rec.json")
+        written.append([(tmp_path / name).read_bytes() for name in ("rec.csv", "rec.json")])
+    assert written[0] == written[1]
