@@ -106,6 +106,12 @@ def _carry_scan(c: np.ndarray, k: np.ndarray, x0: np.ndarray, out: np.ndarray):
         d *= 2
 
 
+def check_window(W) -> None:
+    """Refuse a horizon-control window that is not a whole number of slots >= 1."""
+    if check_count("W", W) < 1:
+        raise ValueError("horizon control needs a window of at least one slot")
+
+
 def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
                      predictions: PredictionOracle | None, rows: int):
     """Yield (t0, plans) per block of windows t0 + 1 .. t0 + B: ``plans[i, b]``
@@ -115,9 +121,7 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
     the first row of the plan before."""
     check_width(trace, cost)
     check_forecasts(trace, predictions)
-    check_count("W", W)
-    if W < 1:
-        raise ValueError("horizon control needs a window of at least one slot")
+    check_window(W)
     if predictions is None:
         predictions = PredictionOracle(trace)
     T, N = trace.T, trace.N

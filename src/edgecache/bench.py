@@ -83,7 +83,7 @@ SWEEP_AXES = ("ratio", "M", "W", "R")
 @dataclass
 class ExperimentSpec:
     """One sweep: a workload, seeds, policies, and a single varied axis.  Its
-    seeds, workload parameters and each value's cost settings are checked here."""
+    seeds, workload parameters and each value's cost and policy settings are checked here."""
 
     workload: str                       # a key of WORKLOADS
     workload_params: dict
@@ -114,8 +114,12 @@ class ExperimentSpec:
         self._params = make_params(self.workload, self.workload_params)
         for value in self.values:
             settings = dict(self.base, **{self.axis: value})
-            cost_model(settings, self._params.N)
+            cost = cost_model(settings, self._params.N)
             check_real("noise weight R", settings.get("R", 0.0), 0)
+            if "rosc" in self.policies:
+                RoscConfig(cost, settings["W"], settings["K"])
+            if "rhc" in self.policies or "chc" in self.policies:
+                baselines.check_window(settings["W"])
 
 
 # workload name -> (its parameter class, its generator)
@@ -158,18 +162,20 @@ POLICIES = {
 
 
 def cost_model(settings: dict, N: int) -> CostModel:
-    """The uniform cost model of ``settings`` for N services: ``alpha``,
-    ``M``, ``gamma`` and beta* = ``beta_star`` (default ``ratio * alpha``)."""
+    """The uniform cost model of ``settings`` for N services: ``alpha``, ``M``,
+    ``gamma`` and beta* = ``beta_star``, or ``ratio * alpha`` if it is absent or None."""
     alpha = settings["alpha"]
     check_real("alpha", alpha, 0, open_low=True)    # by name, before the beta* it prices
-    beta_star = settings.get("beta_star", settings["ratio"] * alpha)
+    beta_star = settings.get("beta_star")
+    if beta_star is None:
+        beta_star = check_real("ratio", settings["ratio"], 0, open_low=True) * alpha
     return CostModel.uniform(alpha, beta_star, N, settings["M"], gamma=settings["gamma"])
 
 
 def run_policy(name: str, trace: ArrivalTrace, settings: dict, seed: int) -> RunRecord:
     """Run the named policy under ``settings``: ``alpha``, ``ratio``, ``M``,
     ``W``, ``K``, ``gamma`` and ``R`` (0 when absent), plus ``beta_star``
-    (default ``ratio * alpha``) and the pseudo-opt sweep count ``W_big``
+    (``ratio * alpha`` when absent or None) and the pseudo-opt sweep count ``W_big``
     (default 300).  Every forecasting policy (``rosc``, ``rhc``, ``chc``)
     sees forecasts with noise weight R, seeded by ``seed``; the offline
     policies ignore them.  A negative or non-finite R, or a size that is not

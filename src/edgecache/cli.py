@@ -8,18 +8,22 @@ Exit codes: 0 success, 1 a sweep with failed cells (or an uncaught
 error), 2 usage error, 3 infeasible instance, 4 validation failure.
 
 Each subcommand's parser is the one description of its settings: ``run``
-and ``sweep`` share the paper preset flags, and each ``generate`` flag has
-the generator field it sets as its ``dest``.
+and ``sweep`` share the paper preset flags, and ``generate`` and ``sweep``
+share a flag named and ``dest``ed after each field of the workloads'
+parameter classes but M, which is ``generate``'s path-length list and
+``sweep``'s capacity; a hyphen in a workload name reads as an underscore.
 
 Configuration precedence is defaults < file < flags.  A ``--config`` JSON
 object stands for the flags its keys name, parsed ahead of the command
 line; ``run`` and ``sweep`` write their parsed settings to
-``effective_config.json``, which replays through ``--config``.
+``effective_config.json``, which replays through ``--config``, as does a
+trace sidecar's ``params`` with a ``model`` key.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -68,6 +72,21 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list:
     return flags
 
 
+# each field of the workloads' parameter classes -> the type its flag parses:
+# int or float by its annotation (``| None`` allowed), else JSON
+GENERATOR_FIELDS = {
+    field.name: {"int": int, "float": float}.get(field.type.split(" |")[0], json.loads)
+    for params, _ in bench.WORKLOADS.values() for field in dataclasses.fields(params)}
+
+
+def _generator_params(args, workload: str, M) -> dict:
+    """The generator fields given as flags, and M if ``workload`` takes it."""
+    given = {name: getattr(args, name) for name in GENERATOR_FIELDS}
+    fields = dataclasses.fields(bench.WORKLOADS[workload][0])
+    given["M"] = M if any(field.name == "M" for field in fields) else None
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _settings(args) -> dict:
     """The parsed flags that are settings, keyed by their ``dest``: all but
     the subcommand's name and function, ``--config`` and ``--out``."""
@@ -92,15 +111,9 @@ def cmd_generate(args, parser) -> int:
         parser.error("--model is required (on the command line or in --config)")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # every setting given but --model, --seed and --M is a generator parameter
-    # named by its dest; one the model does not take makes it raise ValueError
-    params = {"N": 1000, "T": 10_000}
-    params.update((key, value) for key, value in _settings(args).items()
-                  if value is not None and key not in ("model", "seed", "M"))
-    if args.model == "sqrt-churn":
-        params["M"] = args.M[0] if args.M else 10
+    params = _generator_params(args, args.model, args.M[0] if args.M else 10)
     try:
-        trace = bench.make_trace(args.model.replace("-", "_"), params, args.seed)
+        trace = bench.make_trace(args.model, params, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     try:
@@ -130,9 +143,6 @@ def cmd_run(args, parser) -> int:
         parser.error(f"cannot load --trace {args.trace}: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.beta_star is None:
-        args.beta_star = args.alpha * args.ratio
     try:
         rec = bench.run_policy(args.policy, trace, vars(args), args.seed)
     except InstanceTooLargeError as exc:
@@ -156,15 +166,10 @@ def cmd_run(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     base = {key: getattr(args, key) for key in bench.PAPER_DEFAULTS}
-    workload_params = {"N": args.N, "T": args.T}
-    if args.U is not None:
-        workload_params["U"] = args.U
-    if args.workload == "sqrt_churn":
-        workload_params["M"] = args.M
     try:
         spec = bench.ExperimentSpec(
             workload=args.workload,
-            workload_params=workload_params,
+            workload_params=_generator_params(args, args.workload, args.M),
             seeds=[args.seed_base + i for i in range(args.seeds or 0)],
             policies=args.policies.split(","),
             axis=args.axis,
@@ -233,35 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="JSON config file (flags win)")
     preset = argparse.ArgumentParser(add_help=False, parents=[config])
-    preset.add_argument("--alpha", type=float)
-    preset.add_argument("--ratio", type=float, help="beta_star / alpha")
-    preset.add_argument("--M", type=int)
-    preset.add_argument("--W", type=int)
-    preset.add_argument("--K", type=int)
-    preset.add_argument("--gamma", type=float)
-    preset.add_argument("--R", type=float, help="forecast noise weight")
-    preset.set_defaults(**bench.PAPER_DEFAULTS)
+    for name, value in bench.PAPER_DEFAULTS.items():    # ratio is beta_star / alpha
+        preset.add_argument("--" + name, type=type(value), default=value)
+    workload = dict(type=lambda name: name.replace("-", "_"), choices=tuple(bench.WORKLOADS))
 
     # no abbreviated flags, so a --config key must name its flag in full
     g = sub.add_parser("generate", help="write a synthetic trace CSV + sidecar",
                        parents=[config], allow_abbrev=False)
-    g.add_argument("--model", choices=("replacement", "poisson", "sqrt-churn"))
-    g.add_argument("--N", type=int)
-    g.add_argument("--T", type=int)
-    g.add_argument("--U", type=int)
+    g.add_argument("--model", **workload)
     g.add_argument("--seed", type=int, default=0)
-    # each generator flag's dest is the generator parameter it sets
-    g.add_argument("--zipf", type=float, dest="zipf_exponent",
-                   help="Zipf exponent (replacement, sqrt-churn)")
-    g.add_argument("--lifetime-mean", type=float, dest="rank_lifetime_mean",
-                   help="mean rank dwell time in slots (replacement)")
-    g.add_argument("--num-ranks", type=int, dest="num_ranks")
-    g.add_argument("--groups", type=json.loads,
-                   help="JSON [[lifetime, rate], ...] (poisson)")
     g.add_argument("--M", type=_int_list, default=None,
-                   help="comma list; print the trace path length for each")
+                   help="comma list of path lengths to print; the first is sqrt_churn's M")
     g.add_argument("--out", default="trace.csv")
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func=cmd_generate, N=1000, T=10_000)
 
     r = sub.add_parser("run", help="run one policy on one trace", parents=[preset],
                        allow_abbrev=False)
@@ -277,20 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="multi-seed sweep over one axis",
                        parents=[preset], allow_abbrev=False)
-    s.add_argument("--workload", choices=("replacement", "poisson", "sqrt_churn"),
-                   default="replacement")
+    s.add_argument("--workload", default="replacement", **workload)
     s.add_argument("--axis", choices=bench.SWEEP_AXES, default="W")
     s.add_argument("--values", type=_float_list, help="comma list of axis values")
     s.add_argument("--seeds", type=int, help="number of seeds")
     s.add_argument("--seed-base", type=int, default=0, dest="seed_base")
     s.add_argument("--policies", default="rosc,rhc,chc,sopt", help="comma list")
-    s.add_argument("--N", type=int, default=100)
-    s.add_argument("--T", type=int, default=2000)
-    s.add_argument("--U", type=int)
     s.add_argument("--measure-runtime", action="store_true", dest="measure_runtime")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out", default="sweep_out")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, N=100, T=2000)
+    # a parent parser's flags are shared objects, so each command adds its own
+    for command in (g, s):      # a flag per generator field but M
+        for name, kind in GENERATOR_FIELDS.items():
+            if name != "M":
+                command.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
 
     v = sub.add_parser("validate", help="randomized oracle suites")
     v.add_argument("--checks", help="comma list: projection,lemma1,sampler,theorem1")

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from edgecache import bench
-from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, regret_bound,
+from edgecache.bench import (ExperimentSpec, PAPER_DEFAULTS, cost_model, regret_bound,
                              regret_bound_terms, run_experiment,
                              run_policy, make_trace, theorem_cost)
 from edgecache.model import ArrivalTrace, CostModel
@@ -158,14 +157,11 @@ def test_a_failing_cell_leaves_its_seeds_other_cells(tmp_path):
     assert list(report["points"][0]["policies"]) == ["sopt"]
 
 
-def test_a_trace_that_cannot_be_built_fails_each_of_its_cells(tmp_path, monkeypatch):
+def test_a_trace_that_cannot_be_built_fails_each_of_its_cells(tmp_path):
     """Its parameters pass, but at this Pareto shape a seed's volumes pass
     numpy's Poisson limit while the trace is built."""
-    params, generate = bench.WORKLOADS["poisson"]
-    monkeypatch.setitem(bench.WORKLOADS, "poisson", (
-        functools.partial(params, popularity_shape=0.05), generate))
-    spec = _tiny_spec(tmp_path, workload="poisson", workload_params={"N": 50, "T": 200},
-                      policies=["rosc", "sopt"], values=[1, 2])
+    spec = _tiny_spec(tmp_path, workload="poisson", policies=["rosc", "sopt"], values=[1, 2],
+                      workload_params={"N": 50, "T": 200, "popularity_shape": 0.05})
     report = run_experiment(spec, tmp_path / "rep")
     assert [(f["axis_value"], f["policy"]) for f in report["failures"]] == [
         (1, "rosc"), (1, "sopt"), (2, "rosc"), (2, "sopt")]
@@ -210,7 +206,7 @@ def test_spec_refuses_a_workload_without_building_a_trace(monkeypatch, kw, messa
 @pytest.mark.parametrize("kw, message", [
     ({"base": dict(PAPER_DEFAULTS, alpha=-1.0)}, "alpha must be"),
     ({"base": dict(PAPER_DEFAULTS, gamma=2.0)}, "gamma must be"),
-    ({"axis": "ratio", "values": [200.0, -1.0]}, "beta_star must be"),
+    ({"axis": "ratio", "values": [200.0, -1.0]}, "ratio must be"),
     ({"axis": "M", "values": [2, 13]}, r"M must be an integer in \[1, 12\], got 13"),
     ({"seeds": [0, 1.5]}, r"seed must be an integer in \(-inf, inf\), got 1.5"),
     ({"seeds": [True]}, "seed must be"),
@@ -359,3 +355,21 @@ def test_run_policy_refuses_non_integer_sizes(policy, key, value):
     settings = {**PAPER_DEFAULTS, "M": 2, "W": 2, "K": 5, key: value}
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         run_policy(policy, trace, settings, seed=0)
+
+
+@pytest.mark.parametrize("extra", [{}, {"beta_star": None}], ids=["absent", "none"])
+def test_cost_model_prices_beta_star_from_ratio_without_one(extra):
+    cost = cost_model({**PAPER_DEFAULTS, "M": 2, "ratio": 4.0, **extra}, 5)
+    assert cost.beta_star == 4.0 * PAPER_DEFAULTS["alpha"]
+    given = cost_model({**PAPER_DEFAULTS, "M": 2, "ratio": 4.0, "beta_star": 3.0}, 5)
+    assert given.beta_star == 3.0
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"ratio": -1.0}, r"^ratio must be a finite real in \(0, inf\), got -1.0"),
+    ({"ratio": "x"}, r"^ratio must be a finite real in \(0, inf\), got 'x'"),
+    ({"ratio": -1.0, "beta_star": 0}, r"^beta_star must be a finite real in \(0, inf\), got 0"),
+], ids=["negative-ratio", "string-ratio", "zero-beta-star"])
+def test_cost_model_refuses_ratio_and_beta_star_by_name(settings, message):
+    with pytest.raises(ValueError, match=message):
+        cost_model({**PAPER_DEFAULTS, "M": 2, **settings}, 5)

@@ -1,11 +1,10 @@
-import functools
+import dataclasses
 import json
 
 import pytest
 
 from edgecache import bench
-from edgecache.cli import main
-from edgecache.workloads import PoissonParams
+from edgecache.cli import build_parser, main
 
 
 @pytest.mark.parametrize("model", ["replacement", "poisson", "sqrt-churn"])
@@ -51,7 +50,7 @@ def test_generate_sqrt_churn_m_flag_overrides_params_file(tmp_path, capsys):
      "num_ranks must be an integer in [1, 10], got 20"),
     (["--model", "poisson", "--groups", "[[0, 1]]"],
      "groups[0] lifetime must be a finite real in (0, inf), got 0"),
-    (["--model", "poisson", "--zipf", "1.2"], "zipf_exponent"),
+    (["--model", "poisson", "--zipf-exponent", "1.2"], "zipf_exponent"),
 ], ids=["num-ranks-above-N", "zero-lifetime-group", "zipf-on-poisson"])
 def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -60,22 +59,21 @@ def test_generate_bad_parameters_are_usage_errors(tmp_path, capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("knob", [{"popularity_shape": 0.05}, {"per_service_volume": 1e300}])
-def test_generate_refuses_poisson_means_past_numpys_limit(tmp_path, capsys, monkeypatch,
-                                                           knob):
-    """No flag sets these two fields, so the test sets them through the params."""
-    monkeypatch.setitem(bench.WORKLOADS, "poisson", (functools.partial(PoissonParams, **knob),
-                                                     bench.WORKLOADS["poisson"][1]))
+@pytest.mark.parametrize("knob", [("popularity-shape", "0.05"),
+                                  ("per-service-volume", "1e300")])
+def test_generate_refuses_poisson_means_past_numpys_limit(tmp_path, capsys, knob):
+    flag, value = knob
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "--model", "poisson", "--N", "50", "--T", "200", "--out", str(out)])
+        main(["generate", "--model", "poisson", "--N", "50", "--T", "200",
+              f"--{flag}", value, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"{next(iter(knob))}=" in capsys.readouterr().err
+    assert f"{flag.replace('-', '_')}=" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--model", "replacement", "--lifetime-mean", "0"], "rank_lifetime_mean must be"),
+    (["--model", "replacement", "--rank-lifetime-mean", "0"], "rank_lifetime_mean must be"),
     (["--model", "sqrt-churn", "--N", "10", "--M", "0"], "M must be"),
 ], ids=["zero-lifetime-mean", "churn-M-0"])
 def test_generate_refuses_params_its_generator_cannot_use(tmp_path, capsys, argv, message):
@@ -308,7 +306,7 @@ def test_run_ratio_zero_is_usage_error(tmp_path, capsys):
         main(["run", "--policy", "sopt", "--trace", str(trace), "--M", "2",
               "--ratio", "0", "--out", str(tmp_path / "r0")])
     assert exc.value.code == 2
-    assert "beta_star must be a finite real in (0, inf), got 0.0" in capsys.readouterr().err
+    assert "ratio must be a finite real in (0, inf), got 0.0" in capsys.readouterr().err
 
 
 def test_run_replays_from_its_effective_config(tmp_path):
@@ -475,12 +473,17 @@ def _no_trace(params, seed):
     (["--R", "inf"], "noise weight R"),
     (["--alpha=-1"], "alpha must be a finite real in (0, inf), got -1.0"),
     (["--gamma", "2"], "gamma must be a finite real in (0, 1), got 2.0"),
-    (["--axis", "ratio", "--values=-1"], "beta_star must be a finite real in (0, inf)"),
+    (["--axis", "ratio", "--values=-1"], "ratio must be a finite real in (0, inf)"),
     (["--axis", "M", "--values", "20"], "M must be an integer in [1, 12], got 20"),
+    (["--K", "0"], "K must be an integer in [1, "),
+    (["--policies", "rhc,chc", "--W", "0"], "window of at least one slot"),
+    (["--policies", "sopt,chc", "--axis", "W", "--values", "2,0"], "at least one slot"),
+    (["--workload", "poisson", "--zipf-exponent", "1"], "workload poisson"),
 ], ids=["U-on-poisson", "generator-refuses", "fractional-M", "nan-W",
         "unknown-policy", "no-jobs", "negative-R-value", "negative-R-base",
         "infinite-R-base", "negative-alpha", "gamma-past-1", "negative-ratio-value",
-        "M-value-past-N"])
+        "M-value-past-N", "rosc-K-0", "horizon-W-0", "horizon-W-value-0",
+        "zipf-on-poisson"])
 def test_sweep_bad_input_fails_before_any_cell(tmp_path, capsys, monkeypatch, argv, message):
     """Each refusal comes from the spec's checks: no trace is built for it."""
     for name, (params, _) in list(bench.WORKLOADS.items()):
@@ -591,3 +594,88 @@ def test_bound_rejects_capacity_above_services(capsys):
               "--W", "2", "--HT", "5"])
     assert exc.value.code == 2
     assert "M must be an integer in [1, 5], got 10" in capsys.readouterr().err
+
+
+def test_run_replay_takes_a_new_ratio_or_alpha(tmp_path):
+    """``effective_config.json`` holds no beta* derived from ratio and alpha,
+    so a flag given beside ``--config`` prices the replay as it would alone."""
+    trace = _make_trace(tmp_path)
+    argv = ["run", "--policy", "rhc", "--trace", str(trace), "--M", "2"]
+    first = tmp_path / "first"
+    assert main(argv + ["--out", str(first)]) == 0
+    config = first / "effective_config.json"
+    assert json.loads(config.read_text())["beta_star"] is None
+    for flag in (["--ratio", "1"], ["--alpha", "0.5"]):
+        replayed, alone = tmp_path / f"replayed{flag[0]}", tmp_path / f"alone{flag[0]}"
+        assert main(["run", "--config", str(config), *flag, "--out", str(replayed)]) == 0
+        assert main(argv + flag + ["--out", str(alone)]) == 0
+        assert (replayed / "rhc.csv").read_bytes() == (alone / "rhc.csv").read_bytes()
+        assert (replayed / "rhc.csv").read_bytes() != (first / "rhc.csv").read_bytes()
+
+
+# each workload's flags, setting every field of its parameter class but M to
+# a value other than its default
+CHANGED_FIELDS = {
+    "replacement": ["--U", "77", "--zipf-exponent", "1.1", "--rank-lifetime-mean", "7.5",
+                    "--num-ranks", "9", "--thinning", "0.6"],
+    "poisson": ["--groups", "[[5, 0.5], [20, 0.3]]", "--per-service-volume", "3.5",
+                "--popularity-shape", "1.5"],
+    "sqrt_churn": ["--U", "90", "--zipf-exponent", "1.2", "--blips-per-sqrt", "0.5",
+                   "--M", "4"],
+}
+
+
+@pytest.mark.parametrize("fields", ["default", "changed"])
+@pytest.mark.parametrize("model", list(bench.WORKLOADS))
+def test_a_trace_sidecars_params_replay_through_generate(tmp_path, model, fields):
+    flags = ["--N", "30", "--T", "40"] + (CHANGED_FIELDS[model] if fields == "changed" else [])
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["generate", "--model", model, *flags, "--seed", "7",
+                 "--out", str(first)]) == 0
+    params = json.loads(first.with_suffix(".json").read_text())["params"]
+    if fields == "changed":
+        for field in dataclasses.fields(bench.WORKLOADS[model][0]):
+            if field.default is not dataclasses.MISSING:
+                assert params[field.name] != json.loads(json.dumps(field.default)), field.name
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"model": model, **params}))
+    assert main(["generate", "--config", str(config), "--seed", "7", "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert again.with_suffix(".json").read_bytes() == first.with_suffix(".json").read_bytes()
+
+
+# the settings of each command that are not generator fields
+OWN_SETTINGS = {
+    "generate": {"model", "seed", "M", "out"},
+    "sweep": {"workload", "axis", "values", "seeds", "seed_base", "policies",
+              "measure_runtime", "jobs", "out", *bench.PAPER_DEFAULTS},
+}
+
+
+@pytest.mark.parametrize("command", list(OWN_SETTINGS))
+def test_generator_flags_are_the_parameter_fields_but_M(command):
+    fields = {field.name for params, _ in bench.WORKLOADS.values()
+              for field in dataclasses.fields(params)}
+    parser = build_parser()
+    dests = set(vars(parser.parse_args([command]))) - OWN_SETTINGS[command]
+    assert dests - {"command", "func", "config"} == fields - {"M"}
+    for name in fields - {"M"}:         # each flag is named after its field
+        flag = "--" + name.replace("_", "-")
+        assert getattr(parser.parse_args([command, f"{flag}=1"]), name) == 1
+
+
+@pytest.mark.parametrize("command, flag, outputs", [
+    ("generate", "--model", ["trace.csv", "trace.json"]),
+    ("sweep", "--workload", ["costs_W.csv", "effective_config.json"]),
+])
+def test_a_hyphen_in_a_workload_name_reads_as_an_underscore(tmp_path, command, flag, outputs):
+    argv = [command, "--N", "12", "--T", "20", "--M", "3"]
+    if command == "sweep":
+        argv += ["--seeds", "1", "--policies", "rosc,sopt", "--K", "5"]
+    written = []
+    for name in ("sqrt-churn", "sqrt_churn"):
+        out = tmp_path / name
+        target = out / "trace.csv" if command == "generate" else out
+        assert main(argv + [flag, name, "--out", str(target)]) == 0
+        written.append([(out / file).read_bytes() for file in outputs])
+    assert written[0] == written[1]
