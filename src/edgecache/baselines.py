@@ -7,15 +7,18 @@ window is an exact 2-state DP per service, then a capacity repair per window
 slot that keeps the M services with the largest window cost saving (ties toward
 the lower index): a heuristic relaxation of the joint integer program, whose
 gap on tiny windows the test suite measures.  Forwarding costs are never
-negative, so the DP has a closed form.  It runs over blocks of about 8192
-window-services, one window per slot and zero forwarding rows past the horizon,
-once per block, from an uncached start: a window's start is only its cost of
-being cached in its first slot, and a cached start, which costs nothing, caches
-every slot up to the last one that forwards.  A block's windows come from one
-``predict_window`` call over the block's starts, on an exact oracle when none
-is given.  The uncached plan is a subset of the cached one, so the block
-commits every window at once, as a doubling scan of the carried cache; the
-first window over capacity is repaired alone and the scan restarts after it.
+negative, so the DP has a closed form.  It runs over blocks of about 81920
+forecast entries (W per window and service), one window per slot and zero
+forwarding rows past the horizon, once per block, from an uncached start: a
+window's start is only its cost of being cached in its first slot, and a
+cached start, which costs nothing, caches every slot up to the last one that
+forwards.  A block's windows come from one ``predict_window`` call over the
+block's starts, on an exact oracle when none is given; when under 40% of the
+services have an arrival in the slots it forecasts, on their columns only, as
+no plan caches the others there.  The uncached plan is a subset of the
+cached one, so the block commits every window at once, as a doubling scan of
+the carried cache; the first window over capacity is repaired alone and the
+scan restarts after it.
 ``rhc`` keeps the first rows, ``chc`` adds each window's plan for its start
 into a vote sum.
 """
@@ -33,7 +36,8 @@ from .model import (ArrivalTrace, CostModel, RunRecord, check_count,
                     running_total, top_m_indicator)
 from .workloads import PredictionOracle
 
-BLOCK_SIZE = 8192                                   # window-services per DP block
+BLOCK_SIZE = 81920                  # forecast entries (W x windows x N) per DP block
+SPARSE_SHARE = 0.4                  # below this share of N demanded, plan those alone
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -114,24 +118,40 @@ def check_window(W) -> None:
 
 def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
                      predictions: PredictionOracle | None, rows: int):
-    """Yield (t0, plans) per block of windows t0 + 1 .. t0 + B: ``plans[i, b]``
-    is row i < ``rows`` of window t0 + 1 + b's repaired plan.  Window t holds
-    the forecasts of slots t .. min(t + W - 1, T) made at t, one oracle call
-    per block (an exact oracle when ``predictions`` is None), and starts from
-    the first row of the plan before."""
+    """Yield (t0, cols, plans) per block of windows t0 + 1 .. t0 + B:
+    ``plans[i, b]`` is row i < ``rows`` of window t0 + 1 + b's repaired plan
+    on the services ``cols`` (an index array, or a slice for all N); the
+    others are uncached throughout the block.  Window t holds the forecasts
+    of slots t .. min(t + W - 1, T) made at t, one oracle call per block (an
+    exact oracle when ``predictions`` is None), and starts from the first
+    row of the plan before.  A block holds about ``BLOCK_SIZE`` forecast
+    entries.  A service with no arrival in slots t0 + 1 .. t0 + B + W - 1
+    has forecasts of 0 there at any R, so g0 stays 0 < beta and neither
+    start caches it: it leaves the cache at the block's first window, and
+    its all-zero plan changes no repair.  When the services with an arrival
+    are under ``SPARSE_SHARE`` of N, they are planned alone."""
     check_width(trace, cost)
     check_forecasts(trace, predictions)
     check_window(W)
     if predictions is None:
         predictions = PredictionOracle(trace)
     T, N = trace.T, trace.N
-    B, x_prev = max(1, BLOCK_SIZE // N), np.zeros(N, dtype=bool)
+    B, x_prev = max(1, BLOCK_SIZE // (W * N)), np.zeros(N, dtype=bool)
     for t0 in range(0, T, B):
         nb = min(B, T - t0)
+        # the services with an arrival in the slots forecast, t0 + 1 .. t0 + nb + W - 1,
+        # if few; a first slot with many already rules that out
+        slab, cols = trace.lam[t0: t0 + nb + W - 1], slice(None)
+        if np.count_nonzero(slab[0]) < SPARSE_SHARE * N:
+            demanded = np.flatnonzero(slab.any(axis=0))
+            if len(demanded) < SPARSE_SHARE * N:
+                cols = demanded
         # the block's windows in one call, zero past the horizon
-        fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W)
+        fwd = predictions.predict_window(np.arange(t0 + 1, t0 + nb + 1), W,
+                                         services=None if isinstance(cols, slice) else cols)
+        beta = cost.beta[cols]
         fwd *= cost.alpha
-        plan0, g0 = solve_rhc_window(fwd, cost.beta)          # uncached start
+        plan0, g0 = solve_rhc_window(fwd, beta)               # uncached start
         # cached start: g1 = 0 <= g0 = fwd[i], so it caches slot i if a slot >= i forwards
         plan1 = _suffix_or(fwd > 0)
         total = None                    # summed on the block's first repair
@@ -140,8 +160,8 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
         # row 0 from x[b] into x[b + 1]; each row of a plan holds the next,
         # so a window over capacity is over it in row 0
         p0, p1 = plan0[:rows], plan1[:rows]
-        x, s, span = np.empty((nb + 1, N), dtype=bool), 0, nb
-        x[0] = x_prev
+        x, s, span = np.empty((nb + 1, fwd.shape[2]), dtype=bool), 0, nb
+        x[0] = x_prev[cols]
         while s < nb:
             e = min(nb, s + span)
             _carry_scan(p0[0, s:e], p1[0, s:e], x[s], x[s + 1: e + 1])
@@ -155,7 +175,7 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
             # cached start saves the window's whole forwarding ``total``
             if total is None:
                 total = fwd.sum(axis=0)
-                uncached = _saving(total, g0, cost.beta)
+                uncached = _saving(total, g0, beta)
             plan = _repair(p1[:, b] & x[b] | p0[:, b],
                            np.where(x[b], total[b], uncached[b]), cost.M)
             p0[:, b] = p1[:, b] = plan      # so p1 & x | p0 is the repaired plan
@@ -163,8 +183,9 @@ def _horizon_control(trace: ArrivalTrace, cost: CostModel, W: int,
             # rescan from the next window, as far as the gap to this repair
             s, span = b + 1, b + 1 - s
         # row 0 of each plan is the cache it commits, repairs included
-        yield t0, x[None, 1:] if rows == 1 else p1 & x[:nb] | p0
-        x_prev = x[nb]
+        yield t0, cols, x[None, 1:] if rows == 1 else p1 & x[:nb] | p0
+        x_prev = np.zeros(N, dtype=bool)
+        x_prev[cols] = x[nb]
 
 
 def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
@@ -172,8 +193,8 @@ def rhc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
     """Receding horizon control: re-plan every slot, commit only the first."""
     decisions = np.zeros((trace.T, trace.N), dtype=np.int8)
     t0 = time.perf_counter()
-    for t, plans in _horizon_control(trace, cost, W, predictions, rows=1):
-        decisions[t: t + plans.shape[1]] = plans[0]
+    for t, cols, plans in _horizon_control(trace, cost, W, predictions, rows=1):
+        decisions[t: t + plans.shape[1], cols] = plans[0]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("rhc", trace, decisions, cost, runtime_ms,
                    config={"W": W, "policy": "rhc"})
@@ -186,10 +207,15 @@ def chc_policy(trace: ArrivalTrace, cost: CostModel, W: int,
     T = trace.T
     decisions = np.zeros((T, trace.N))              # the vote sum, then its mean
     t0 = time.perf_counter()
-    for t, plans in _horizon_control(trace, cost, W, predictions, rows=W):
+    for t, cols, plans in _horizon_control(trace, cost, W, predictions, rows=W):
+        # the votes of the slots the block plans: a view when it plans every
+        # service, else a copy of its columns, written back once
+        votes = decisions[t: t + plans.shape[1] + W - 1, cols]
         # the plan made at slot t + b holds slot t + b + k in its row k
         for k, row in enumerate(plans[: T - t]):
-            decisions[t + k: t + k + len(row)] += row[: T - t - k]
+            votes[k: k + len(row)] += row[: T - t - k]
+        if not isinstance(cols, slice):
+            decisions[t: t + len(votes), cols] = votes
     decisions /= np.minimum(np.arange(1, T + 1), W)[:, None]
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return _record("chc", trace, decisions, cost, runtime_ms,

@@ -109,8 +109,6 @@ def write_effective_config(out_dir, args) -> None:
 def cmd_generate(args, parser) -> int:
     if args.model is None:
         parser.error("--model is required (on the command line or in --config)")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     params = _generator_params(args, args.model, args.M[0] if args.M else 10)
     try:
         trace = bench.make_trace(args.model, params, args.seed)
@@ -123,6 +121,8 @@ def cmd_generate(args, parser) -> int:
 
     if not trace.lam.any():
         print("warning: generated trace is all zeros", file=sys.stderr)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)     # only once the trace is built
     sidecar = save_trace(trace, out)
     print(f"wrote {out} and {sidecar} (T={trace.T}, N={trace.N}, U={trace.U})")
     for M, length in lengths:
@@ -141,6 +141,7 @@ def cmd_run(args, parser) -> int:
         trace = load_trace(args.trace)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot load --trace {args.trace}: {exc}")
+    args.trace = str(Path(args.trace).resolve())   # so the config replays from anywhere
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -222,6 +222,17 @@ def gen_sqrt_churn(params: SqrtChurnParams, seed: int) -> ArrivalTrace:
         meta={"generator": "sqrt_churn", "seed": seed, "params": asdict(params)})
 
 
+def _rows(a: np.ndarray, rows, cols) -> np.ndarray:
+    """``a[rows]`` for an integer or an array of row indices, of the columns
+    ``cols`` only when given: the band of rows they span is cut to ``cols``
+    first, so no other column is copied."""
+    if cols is None:
+        return np.take(a, rows, axis=0)
+    lo, hi = (np.min(rows), np.max(rows) + 1) if np.size(rows) else (0, 0)
+    band = np.take(a[lo: hi], cols, axis=1)
+    return np.take(band, rows - lo, axis=0)
+
+
 class PredictionOracle:
     """Multiplicative random-walk noise on future arrivals.
 
@@ -244,15 +255,15 @@ class PredictionOracle:
         self.seed = check_count("seed", seed, high=math.inf)
         self._sums = None           # C, drawn on the first noisy query
 
-    def _forecast(self, t, tau) -> np.ndarray:
+    def _forecast(self, t, tau, services=None) -> np.ndarray:
         """Forecasts of slots ``t`` made at ``tau`` (integers or arrays that
-        broadcast), one row of N per pair: ``max(lam_t * (1 + R * (C[t] -
-        C[max(tau, 1) - 1])), 0)``, the walk of a past slot zero, and zero
-        outside 1 .. T."""
+        broadcast), one row of N per pair (of the columns ``services`` when
+        given): ``max(lam_t * (1 + R * (C[t] - C[max(tau, 1) - 1])), 0)``, the
+        walk of a past slot zero, and zero outside 1 .. T."""
         T = self.trace.T
         # t clipped into 1 .. T: np.clip and take's mode="clip" cost more
         s = np.minimum(np.maximum(t, 1), T)
-        out = np.take(self.trace.lam, s - 1, axis=0)
+        out = _rows(self.trace.lam, s - 1, services)
         if self.R != 0.0:
             if self._sums is None:
                 self._sums = np.zeros((T + 1, self.trace.N))
@@ -261,8 +272,8 @@ class PredictionOracle:
                 np.cumsum(noise, axis=0, out=self._sums[1:])
             # one base row per forecast time, broadcast over its slots
             u = np.minimum(np.maximum(tau, 1) - 1, T)
-            walk = np.take(self._sums, s, axis=0)
-            walk -= np.take(self._sums, u, axis=0)
+            walk = _rows(self._sums, s, services)
+            walk -= _rows(self._sums, u, services)
             walk[s <= u] = 0.0      # past slots
             walk *= self.R
             walk += 1.0
@@ -286,13 +297,21 @@ class PredictionOracle:
         check_count("tau", tau)
         return self._forecast(t, tau)
 
-    def predict_window(self, tau, W: int) -> np.ndarray:
+    def predict_window(self, tau, W: int, *, services=None) -> np.ndarray:
         """(W, N) forecasts of slots tau .. tau + W - 1, all made at tau; for
         a 1-D array of B starts, the (W, B, N) block of those windows, window b
-        in column b."""
+        in column b.  ``services``, a 1-D array of service indices, keeps only
+        those columns, in that order, bit for bit as in the full forecast;
+        the default is every service."""
         starts = np.asarray(tau)
         if starts.ndim > 1 or starts.dtype.kind not in "iu":
             raise ValueError(f"tau must be an integer or a 1-D array of integers, got {tau!r}")
         check_count("W", W, low=0)
+        if services is not None:
+            services = np.asarray(services)
+            if (services.ndim != 1 or services.dtype.kind not in "iu"
+                    or not np.all((services >= 0) & (services < self.trace.N))):
+                raise ValueError("services must be a 1-D array of service indices "
+                                 f"in 0 .. {self.trace.N - 1}, got {services!r}")
         starts = starts.astype(np.int64, copy=False)
-        return self._forecast(np.add.outer(np.arange(W), starts), starts)
+        return self._forecast(np.add.outer(np.arange(W), starts), starts, services)

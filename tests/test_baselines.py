@@ -237,14 +237,20 @@ def test_horizon_control_matches_the_per_slot_loop_on_tie_heavy_traces(
     not a multiple of the block; exact and noisy forecasts.  At R = 3 most
     noisy forecasts are clipped to 0, the floor the closed-form DP needs."""
     rng = rng_stream(10 + W, "test:block-vs-loop")
+    default = baselines.BLOCK_SIZE
     for T in (1, W - 1, W, 11, 23):
         for windows_per_block in (1, 2, 5, None):
             if T < 1:
                 continue
             N = int(rng.integers(2, 9))
             trace, cost = _tie_heavy(rng, T, N, int(rng.integers(1, max(2, N // 2) + 1)))
-            monkeypatch.setattr(baselines, "BLOCK_SIZE",
-                                8192 if windows_per_block is None else windows_per_block * N)
+            if windows_per_block is None:
+                monkeypatch.setattr(baselines, "BLOCK_SIZE", default)
+                assert baselines.BLOCK_SIZE // (W * N) >= T
+            else:
+                # BLOCK_SIZE counts forecast entries: W per window and service
+                monkeypatch.setattr(baselines, "BLOCK_SIZE", windows_per_block * W * N)
+                assert baselines.BLOCK_SIZE // (W * N) == windows_per_block
             _assert_matches_reference(trace, cost, W)
             _assert_matches_reference(trace, cost, W, R=0.3)
             _assert_matches_reference(trace, cost, W, R=3.0)
@@ -252,14 +258,16 @@ def test_horizon_control_matches_the_per_slot_loop_on_tie_heavy_traces(
 
 
 def test_horizon_control_matches_the_per_slot_loop_across_wide_blocks(repairs):
-    """N = 3000 puts two windows in a block, so the cache carries across
-    four block boundaries into each block's cached-start solve."""
+    """N = 3000 puts two windows of 10 slots in a block and one of 20, so the
+    cache carries across four or eight block boundaries into each block's
+    cached-start solve."""
     rng = rng_stream(20, "test:wide-blocks")
     trace, cost = _tie_heavy(rng, 9, 3000, 40)
-    assert 8192 // trace.N == 2
-    for W in (1, 3):
+    assert baselines.BLOCK_SIZE // (10 * trace.N) == 2
+    assert baselines.BLOCK_SIZE // (20 * trace.N) == 1
+    for W in (10, 20):
         _assert_matches_reference(trace, cost, W)
-    _assert_matches_reference(trace, cost, 3, R=0.2)
+    _assert_matches_reference(trace, cost, 10, R=0.2)
     assert len(repairs) > 20
 
 
@@ -272,9 +280,11 @@ def test_first_row_only_rhc_is_row_zero_of_the_repaired_plan(repairs):
         first = list(baselines._horizon_control(trace, cost, W, None, rows=1))
         assert repairs
         full = list(baselines._horizon_control(trace, cost, W, None, rows=W))
-        for (t, row), (u, plans) in zip(first, full, strict=True):
-            assert t == u and row.shape == (1,) + plans.shape[1:]
-            assert plans.shape == (W, min(baselines.BLOCK_SIZE // trace.N, trace.T - t), trace.N)
+        for (t, cols, row), (u, ucols, plans) in zip(first, full, strict=True):
+            assert t == u and cols == ucols == slice(None)      # every block dense
+            assert row.shape == (1,) + plans.shape[1:]
+            windows = min(baselines.BLOCK_SIZE // (W * trace.N), trace.T - t)
+            assert plans.shape == (W, windows, trace.N)
             assert row.tobytes() == plans[:1].tobytes()
         repairs.clear()
 
@@ -297,15 +307,115 @@ def test_horizon_control_repairs_the_first_and_last_window_of_a_block(
     windows a block put repairs on a block's first and on its last window."""
     rng = rng_stream(22, "test:edge-repairs")
     N = 6
-    monkeypatch.setattr(baselines, "BLOCK_SIZE", windows_per_block * N)
     first = last = 0
     for W in (1, 2, 4):
+        monkeypatch.setattr(baselines, "BLOCK_SIZE", windows_per_block * W * N)
+        assert baselines.BLOCK_SIZE // (W * N) == windows_per_block
         trace, cost = _tie_heavy(rng, 30, N, 2)
         slots = _repaired_slots(trace, cost, W)
         first += sum(t % windows_per_block == 0 for t in slots)
         last += sum(t % windows_per_block == windows_per_block - 1 for t in slots)
         _assert_matches_reference(trace, cost, W)
     assert first > 5 and last > 5
+
+
+@pytest.fixture
+def forecast_columns(monkeypatch):
+    """The ``services`` of each block's forecast (a call with an array of
+    starts): None for a full-width block."""
+    calls = []
+    predict = PredictionOracle.predict_window
+
+    def recorded(self, tau, W, *, services=None):
+        if np.ndim(tau) == 1:
+            calls.append(None if services is None else list(services))
+        return predict(self, tau, W, services=services)
+
+    monkeypatch.setattr(PredictionOracle, "predict_window", recorded)
+    return calls
+
+
+def _sparse_tie_heavy(rng, T, N, M, share):
+    """Tie-heavy demands on about ``share`` of the (slot, service) pairs."""
+    trace, cost = _tie_heavy(rng, T, N, M)
+    return ArrivalTrace(lam=trace.lam * (rng.random((T, N)) < share)), cost
+
+
+SPARSE_R = (0.0, 0.3, 3.0)
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_sparse_blocks_match_the_per_slot_loop_on_idle_spans(W, monkeypatch, forecast_columns):
+    """Blocks whose forecast slots hold no demand at all plan no service;
+    so do traces with no demand anywhere."""
+    rng = rng_stream(30 + W, "test:idle-spans")
+    monkeypatch.setattr(baselines, "BLOCK_SIZE", 2 * W * 8)
+    trace, cost = _sparse_tie_heavy(rng, 40, 8, 2, 0.3)
+    lam = trace.lam.copy()
+    lam[12:30] = 0.0                            # two blocks see no demand
+    for trace in (ArrivalTrace(lam=lam), ArrivalTrace(lam=np.zeros((9, 8)))):
+        for R in SPARSE_R:
+            _assert_matches_reference(trace, cost, W, R)
+    assert [] in forecast_columns
+
+
+@pytest.mark.parametrize("R", SPARSE_R)
+def test_a_cached_service_without_demand_leaves_the_cache_at_its_block(
+        R, monkeypatch, forecast_columns):
+    """Service 0 is cached at the end of the first block and has no demand
+    in the second, whose forecast leaves it out."""
+    W, N = 2, 6
+    monkeypatch.setattr(baselines, "BLOCK_SIZE", 4 * W * N)
+    lam = np.zeros((12, N))
+    lam[:4, 0] = 3.0                            # demand in block 0's windows only
+    lam[:, 5] = 1.0
+    trace = ArrivalTrace(lam=lam)
+    cost = CostModel(alpha=0.05, beta=np.full(N, 0.05), M=2)
+    assert _reference_rhc(trace, cost, W, None)[3, 0] == 1
+    _assert_matches_reference(trace, cost, W, R)
+    assert forecast_columns[1] == [5]
+
+
+@pytest.mark.parametrize("W", [1, 3])
+def test_sparse_and_dense_blocks_alternate(W, monkeypatch, forecast_columns, repairs):
+    """Every other block has one slot with demand on every service: its
+    forecast is full width, the next one's covers a few services."""
+    rng = rng_stream(40 + W, "test:alternating")
+    N, B = 10, 6
+    monkeypatch.setattr(baselines, "BLOCK_SIZE", B * W * N)
+    trace, cost = _sparse_tie_heavy(rng, 40, N, 2, 0.1)
+    lam = trace.lam.copy()
+    lam[B // 2:: 2 * B] = rng.integers(1, 4, (len(lam[B // 2:: 2 * B]), N))
+    for R in SPARSE_R:
+        _assert_matches_reference(ArrivalTrace(lam=lam), cost, W, R)
+    widths = {len(c) if c is not None else N for c in forecast_columns}
+    assert None in forecast_columns and min(widths) < 0.4 * N
+    assert repairs
+
+
+def test_clipped_noisy_forecasts_on_a_sparse_trace(monkeypatch, forecast_columns, repairs):
+    """At R = 3 most noisy forecasts of demanded services clip to 0; a
+    sparse block still forecasts only the services with an arrival."""
+    rng = rng_stream(50, "test:sparse-noisy")
+    trace, cost = _sparse_tie_heavy(rng, 60, 40, 3, 0.03)
+    for W in (1, 4, 9):
+        monkeypatch.setattr(baselines, "BLOCK_SIZE", 3 * W * trace.N)
+        for R in SPARSE_R:
+            _assert_matches_reference(trace, cost, W, R)
+    assert any(c is not None and 0 < len(c) < 16 for c in forecast_columns)
+    assert repairs
+
+
+def test_sparse_blocks_across_wide_blocks(forecast_columns, repairs):
+    """N = 3000 at W = 10 puts two windows in a block, on a sparse trace:
+    the carried cache enters each block through its demanded services."""
+    rng = rng_stream(60, "test:sparse-wide")
+    trace, cost = _sparse_tie_heavy(rng, 9, 3000, 40, 0.02)
+    assert baselines.BLOCK_SIZE // (10 * trace.N) == 2
+    for R in SPARSE_R:
+        _assert_matches_reference(trace, cost, 10, R)
+    assert all(c is not None for c in forecast_columns)
+    assert len(repairs) > 10
 
 
 def test_uncached_plan_is_a_subset_of_the_cached_plan():

@@ -17,7 +17,7 @@ from edgecache import (CostModel, PredictionOracle, RoscConfig,
 
 ROOT = Path(__file__).resolve().parents[1]
 T, N, M, W, K, SWEEPS = 24, 12, 3, 4, 10, 7
-BLOCKS = 1      # horizon-control blocks of 8192 // N windows: one forecast call and one DP each
+BLOCKS = 1      # horizon-control blocks of BLOCK_SIZE // (W * N) windows: one forecast call and one DP each
 
 
 def _load_tracing():

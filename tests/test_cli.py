@@ -97,6 +97,15 @@ def test_generate_refuses_a_negative_path_length_m(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_refused_generate_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "fresh_dir" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--model", "poisson", "--zipf-exponent", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "zipf_exponent" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_generate_model_may_come_from_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"model": "poisson", "N": 10, "T": 20}))
@@ -427,6 +436,22 @@ def test_run_replays_from_its_effective_config_alone(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(again)]) == 0
     assert (first / "chc.csv").read_bytes() == (again / "chc.csv").read_bytes()
     assert config.read_bytes() == (again / "effective_config.json").read_bytes()
+
+
+def test_run_replays_from_another_directory(tmp_path, monkeypatch):
+    """A relative --trace is recorded as an absolute path."""
+    start = tmp_path / "start"
+    start.mkdir()
+    monkeypatch.chdir(start)
+    assert main(["generate", "--model", "replacement", "--N", "8", "--T", "30",
+                 "--U", "40", "--out", "new/g1.csv"]) == 0
+    assert main(["run", "--policy", "rhc", "--trace", "new/g1.csv", "--M", "2",
+                 "--out", "rel_run"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "start/rel_run/effective_config.json",
+                 "--out", "again"]) == 0
+    assert (start / "rel_run" / "rhc.csv").read_bytes() == \
+        (tmp_path / "again" / "rhc.csv").read_bytes()
 
 
 def test_sweep_smoke_and_table_shape(tmp_path):

@@ -293,6 +293,33 @@ def test_forecasts_equal_the_walk_gathered_per_slot_byte_for_byte(R):
         same(oracle.predict_window(starts, W), np.add.outer(np.arange(W), starts), starts)
 
 
+@pytest.mark.parametrize("R", [0.0, 0.03, 2.0])
+def test_predict_window_of_some_services_is_those_columns_byte_for_byte(R):
+    """Column subsets (sorted, unsorted, repeated, single, empty) of blocks
+    and single starts, with starts below 1 and windows past T."""
+    tr = gen_replacement(ReplacementParams(N=9, T=30, U=60), seed=4)
+    oracle = PredictionOracle(tr, R=R, seed=7)
+    rng = rng_stream(12, "test:window-columns")
+    subsets = [np.arange(9), np.array([0]), np.array([8, 2, 5]), np.array([3, 3]),
+               np.array([], dtype=np.int64), rng.choice(9, 4, replace=False)]
+    for W in (0, 1, 6, 35):
+        for starts in (np.arange(1, 31), rng.integers(-5, 36, 7), np.array([-2]), 12):
+            full = oracle.predict_window(starts, W)
+            for services in subsets:
+                part = PredictionOracle(tr, R=R, seed=7).predict_window(
+                    starts, W, services=services)
+                assert part.tobytes() == full[..., services].tobytes()
+
+
+@pytest.mark.parametrize("services", [np.array([[0, 1]]), np.array([0.0, 1.0]),
+                                      np.array([-1]), np.array([5]), [True]])
+def test_predict_window_refuses_columns_that_are_not_services(services):
+    tr = gen_replacement(ReplacementParams(N=5, T=12, U=40), seed=1)
+    with pytest.raises(ValueError, match="^services must be a 1-D array"):
+        PredictionOracle(tr, R=0.3, seed=2).predict_window(np.arange(1, 4), 3,
+                                                            services=services)
+
+
 @pytest.mark.parametrize("R", [0.0, 0.4])
 def test_forecasts_made_before_slot_1_equal_those_made_at_slot_1(R):
     tr = gen_replacement(ReplacementParams(N=6, T=12, U=40), seed=5)
